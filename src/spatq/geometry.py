@@ -20,6 +20,9 @@ PER_USER = "per-user"
 PER_CLUSTER = "per-cluster"
 
 _ASSOC_CHUNK = 4096
+# a target's two nearest KD-tree distances closer than this fraction of the
+# window's size tie up to rounding (~1e-16 of it) and are compared exactly
+_TIE_TOL = 1e-9
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -209,12 +212,46 @@ def sample_pcp(params: PcpParams, window: Window, seed: int) -> PointPattern:
     return PointPattern(points=pts, window=window, parents=parents, cluster_of=labels)
 
 
-def _nearest_index(targets: np.ndarray, bss: np.ndarray, window: Window) -> np.ndarray:
-    """Index of the nearest station per target row; ties go to the lowest index."""
+def _station_tree(points: np.ndarray, window: Window) -> cKDTree:
+    """KD-tree over station positions in the window's metric.
+
+    A periodic tree needs every coordinate in [0, width) x [0, height), while
+    `Window.contains` admits the far edges, so toroidal positions are folded
+    first; the fold leaves positions already in range bit for bit unchanged.
+    """
+    if window.metric != TOROIDAL:
+        return cKDTree(points)
+    span = np.array([window.width, window.height])
+    folded = window.wrap(points)
+    # np.mod rounds a tiny negative coordinate up to the span itself
+    folded[folded >= span] = 0.0
+    return cKDTree(folded, boxsize=span)
+
+
+def _argmin_distance(targets: np.ndarray, bss: np.ndarray, window: Window) -> np.ndarray:
+    """Brute-force nearest station per target row, in bounded chunks."""
     out = np.empty(len(targets), dtype=int)
     for lo in range(0, len(targets), _ASSOC_CHUNK):
         chunk = targets[lo:lo + _ASSOC_CHUNK]
         out[lo:lo + len(chunk)] = np.argmin(window.distance_sq(chunk, bss), axis=1)
+    return out
+
+
+def _nearest_index(targets: np.ndarray, bss: np.ndarray, window: Window) -> np.ndarray:
+    """Index of the nearest station per target row; ties go to the lowest index.
+
+    A KD-tree finds each target's two nearest stations.  Rows whose two
+    distances agree to within rounding are settled by `_argmin_distance`
+    over all stations, so the result equals `argmin` over `distance_sq`
+    however many stations tie, at a cost that grows with the ties only.
+    """
+    if len(bss) == 1:
+        return np.zeros(len(targets), dtype=int)
+    dist, idx = _station_tree(bss, window).query(targets, k=2, workers=1)
+    out = idx[:, 0]
+    slack = _TIE_TOL * (window.width + window.height)
+    near_tie = np.flatnonzero(dist[:, 1] - dist[:, 0] <= slack)
+    out[near_tie] = _argmin_distance(targets[near_tie], bss, window)
     return out
 
 
@@ -257,11 +294,7 @@ def estimate_cell_areas(
         raise ValueError("probes must be at least 10000 for a usable estimate")
     rng = np.random.default_rng(seed)
     pts = rng.random((probes, 2)) * [window.width, window.height]
-    if window.metric == TOROIDAL:
-        tree = cKDTree(bss.points, boxsize=[window.width, window.height])
-    else:
-        tree = cKDTree(bss.points)
-    _, idx = tree.query(pts)
+    _, idx = _station_tree(bss.points, window).query(pts)
     counts = np.bincount(idx, minlength=len(bss))
     return counts * (window.area / probes)
 

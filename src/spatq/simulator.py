@@ -148,8 +148,11 @@ def run_sir_static(
     """Empirical success probability with interferers active independently w.p. q.
 
     Each sample draws the serving-link length from the nearest-station
-    distance law and, independently, a fresh station scatter thinned by q as
-    the interference field, with unit-mean exponential fading on every link.
+    distance law and, independently, a fresh interference field: the active
+    interferers, a station scatter thinned by q.  Thinning a Poisson count of
+    `mean_bss` stations keeps each independently w.p. q, so the active count
+    is drawn directly as Poisson(q * mean_bss), with positions uniform in the
+    same square window and unit-mean exponential fading on every link.
     The serving distance and the interference field are decoupled exactly as
     in the closed form being checked; coupling them through one pattern would
     carve an interferer-free disc around the user and raise the result.
@@ -171,21 +174,32 @@ def run_sir_static(
         n = min(batch, samples - done)
         link_sq = -np.log(rng.random(n)) / (math.pi * lam)
         signal = rng.standard_exponential(n) * link_sq**exponent
-        counts = rng.poisson(mean_bss, n)
-        m = max(int(counts.max()), 1)
-        xs = (rng.random((n, m)) * 2.0 - 1.0) * half_width
-        ys = (rng.random((n, m)) * 2.0 - 1.0) * half_width
-        r2 = xs**2 + ys**2
-        r2[np.arange(m) >= counts[:, None]] = np.inf  # mask padded columns
-        active = rng.random((n, m)) < q
-        gains = rng.standard_exponential((n, m))
-        contrib = active * gains * r2**exponent  # padded columns contribute 0
-        interference = contrib.sum(axis=1)
+        interference = _thinned_interference(rng, n, q * mean_bss, half_width, exponent)
         successes += int(np.count_nonzero(signal > params.theta * interference))
         done += n
     p_hat = successes / samples
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / samples)
     return p_hat, stderr
+
+
+def _thinned_interference(
+    rng: np.random.Generator, n: int, mean_active: float, half_width: float, exponent: float
+) -> np.ndarray:
+    """Interference at the origin of `n` independent fields of active stations.
+
+    Each field holds Poisson(mean_active) stations uniform in the square of
+    half-width `half_width`, with unit-mean exponential fading; flat arrays
+    over all fields are reduced per field, so the work is one draw set per
+    active station.  As a function of its own, it frees a batch's arrays
+    before the caller draws the next batch.
+    """
+    owner = np.repeat(np.arange(n), rng.poisson(mean_active, n))
+    xy = rng.uniform(-half_width, half_width, (len(owner), 2))
+    pathloss = np.einsum("ij,ij->i", xy, xy)
+    del xy
+    np.power(pathloss, exponent, out=pathloss)
+    pathloss *= rng.standard_exponential(len(owner))
+    return np.bincount(owner, weights=pathloss, minlength=n)
 
 
 def _queue_departure_slots(
@@ -267,17 +281,30 @@ def run_delay_oracle(
 
 
 def _bernoulli_slots(rng: np.random.Generator, horizon: int, p: float) -> np.ndarray:
-    """Sorted slot indices of Bernoulli(p) events, drawn in bounded chunks."""
-    chunks = []
-    step = 1 << 21
-    for start in range(0, horizon, step):
-        n = min(step, horizon - start)
-        hits = np.flatnonzero(rng.random(n) < p)
-        if len(hits):
-            chunks.append(hits + start)
-    if not chunks:
-        return np.empty(0, dtype=int)
-    return np.concatenate(chunks)
+    """Sorted slot indices in [0, horizon) of i.i.d. Bernoulli(p) slot events.
+
+    The gaps between consecutive events are i.i.d. geometric(p), so the
+    slots are running sums of geometric draws and the cost grows with the
+    number of events, not with the horizon.  One block of draws covers the
+    horizon unless the count runs more than six standard deviations high.
+    """
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(horizon, dtype=np.int64)
+    blocks = []
+    last = -1  # slot of the latest event drawn
+    while True:
+        expected = (horizon - 1 - last) * p
+        slots = rng.geometric(p, int(expected + 6.0 * math.sqrt(expected) + 16))
+        np.cumsum(slots, out=slots)
+        slots += last
+        if slots[-1] >= horizon:
+            blocks.append(slots[: np.searchsorted(slots, horizon)])
+            break
+        blocks.append(slots)
+        last = int(slots[-1])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def simulate_network(

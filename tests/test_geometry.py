@@ -6,12 +6,15 @@ from numpy.random import SeedSequence
 from scipy import integrate, stats
 
 from spatq.geometry import (
+    EUCLIDEAN,
     PER_CLUSTER,
     PER_USER,
+    TOROIDAL,
     AssociationMap,
     PcpParams,
     PointPattern,
     Window,
+    _nearest_index,
     associate,
     cell_area_density,
     estimate_cell_areas,
@@ -203,7 +206,88 @@ class TestAssociate:
         assert mean_pu == pytest.approx(mean_pc, rel=0.10)
 
 
+def brute_nearest(targets, bss, window):
+    return window.distance_sq(targets, bss).argmin(axis=1)
+
+
+class TestNearestIndex:
+    """The KD-tree query against brute-force argmin over all distances."""
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force_on_random_patterns(self, metric, seed):
+        w = Window(12.0, 7.0, metric)
+        ss = SeedSequence(seed).spawn(2)
+        users = sample_ppp(3.0, w, ss[0]).points
+        bss = sample_ppp(0.4, w, ss[1]).points
+        got = _nearest_index(users, bss, w)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, brute_nearest(users, bss, w))
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    def test_exact_ties_go_to_lowest_index(self, metric):
+        # stations on a shuffled unit lattice; targets on cell edges and
+        # centers sit at equal distance from two and four stations
+        w = Window(6.0, 6.0, metric)
+        grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+        bss = grid[np.random.default_rng(3).permutation(len(grid))]
+        targets = np.concatenate((grid + [0.5, 0.0], grid + [0.0, 0.5], grid + 0.5))
+        targets = targets[w.contains(targets)]
+        got = _nearest_index(targets, bss, w)
+        assert np.array_equal(got, brute_nearest(targets, bss, w))
+        d2 = w.distance_sq(targets, bss)
+        for row, j in enumerate(got):
+            assert j == np.flatnonzero(d2[row] == d2[row].min()).min()
+
+    def test_duplicate_stations_go_to_lowest_index(self):
+        w = Window(10.0, 10.0)
+        bss = np.array([[4.0, 4.0], [7.0, 7.0], [4.0, 4.0]])
+        targets = np.array([[4.0, 4.0], [3.0, 3.0], [7.5, 7.5]])
+        assert _nearest_index(targets, bss, w).tolist() == [0, 0, 1]
+
+    def test_single_station(self):
+        w = Window(10.0, 10.0)
+        targets = sample_ppp(1.0, w, seed=4).points
+        got = _nearest_index(targets, np.array([[2.0, 3.0]]), w)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.zeros(len(targets), dtype=int))
+
+    @pytest.mark.parametrize("n_bs", [1, 5])
+    def test_zero_targets(self, n_bs):
+        w = Window(10.0, 10.0)
+        bss = sample_ppp(1.0, w, seed=5).points[:n_bs]
+        got = _nearest_index(np.empty((0, 2)), bss, w)
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    def test_per_cluster_matches_brute_force(self, metric):
+        w = Window(20.0, 20.0, metric)
+        users = sample_pcp(PcpParams(0.1, 1.5, 1.0), w, seed=6)
+        bss = sample_ppp(0.3, w, seed=7)
+        amap = associate(users, bss, PER_CLUSTER)
+        by_parent = brute_nearest(users.parents, bss.points, w)
+        assert np.array_equal(amap.serving_bs, by_parent[users.cluster_of])
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    def test_station_on_far_edge(self, metric):
+        # Window.contains admits x == width; a periodic tree needs x < width
+        w = Window(10.0, 10.0, metric)
+        bss = PointPattern(np.array([[10.0, 5.0], [3.0, 3.0], [6.0, 10.0]]), w)
+        users = sample_ppp(2.0, w, seed=8)
+        amap = associate(users, bss)
+        assert np.array_equal(amap.serving_bs, brute_nearest(users.points, bss.points, w))
+
+
 class TestEstimateCellAreas:
+    def test_station_on_far_edge(self):
+        # a station at x == width is the one at x == 0 on the torus
+        w = Window(10.0, 10.0)
+        edge = PointPattern(np.array([[10.0, 5.0], [3.0, 3.0]]), w)
+        folded = PointPattern(np.array([[0.0, 5.0], [3.0, 3.0]]), w)
+        areas = estimate_cell_areas(edge, w, probes=10_000, seed=1)
+        assert np.array_equal(areas, estimate_cell_areas(folded, w, 10_000, seed=1))
+        assert areas.sum() == pytest.approx(w.area, rel=1e-12)
+
     def test_single_station_owns_window(self):
         w = Window(10.0, 10.0)
         bss = PointPattern(np.array([[5.0, 5.0]]), w)

@@ -7,6 +7,7 @@ from spatq.analytics import NetworkParameters, solve_busy_probability
 from spatq.geometry import AssociationMap, PcpParams, PointPattern, Window
 from spatq.simulator import (
     MetricsReport,
+    _bernoulli_slots,
     _queue_departure_slots,
     _queue_reference_loop,
     classify_queue_stability,
@@ -54,6 +55,38 @@ class TestQueueRecursion:
         departures, served = _queue_departure_slots(arrival_slots, success_slots)
         assert np.all(np.diff(departures) > 0)
         assert np.all(departures >= arrival_slots[served])
+
+
+class TestBernoulliSlots:
+    def test_degenerate_probabilities(self):
+        rng = np.random.default_rng(0)
+        assert _bernoulli_slots(rng, 1000, 0.0).shape == (0,)
+        assert np.array_equal(_bernoulli_slots(rng, 1000, 1.0), np.arange(1000))
+
+    @pytest.mark.parametrize("p", [0.005, 0.2, 0.9])
+    def test_sorted_in_range_with_bernoulli_count_and_gaps(self, p):
+        horizon = 2_000_000
+        slots = _bernoulli_slots(np.random.default_rng(1), horizon, p)
+        assert np.all(np.diff(slots) > 0)
+        assert slots[0] >= 0 and slots[-1] < horizon
+        mean = p * horizon
+        assert abs(len(slots) - mean) <= 5.0 * math.sqrt(mean * (1.0 - p))
+        # consecutive gaps are geometric(p): mean 1/p, sd sqrt(1-p)/p
+        gap_sd = math.sqrt(1.0 - p) / p / math.sqrt(len(slots) - 1)
+        assert abs(np.diff(slots).mean() - 1.0 / p) <= 5.0 * gap_sd
+
+    def test_same_rng_state_same_slots(self):
+        a = _bernoulli_slots(np.random.default_rng(2), 1_000_000, 0.03)
+        b = _bernoulli_slots(np.random.default_rng(2), 1_000_000, 0.03)
+        assert np.array_equal(a, b)
+
+    def test_blocks_join_when_the_first_falls_short(self):
+        # unit gaps at p=0.01 outrun the first block's size many times over
+        class UnitGaps:
+            def geometric(self, p, size):
+                return np.ones(size, dtype=np.int64)
+
+        assert np.array_equal(_bernoulli_slots(UnitGaps(), 1000, 0.01), np.arange(1000))
 
 
 class TestDelayOracle:
