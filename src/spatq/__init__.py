@@ -11,7 +11,6 @@ from .analytics import (
     iterate_busy_probability,
     max_stable_rate,
     mean_delay,
-    pmf_users_pcp,
     pmf_users_ppp,
     service_rate,
     sinc_delta,

@@ -59,8 +59,6 @@ class NetworkParameters:
     lambda_u: float
     theta: float
     alpha: float
-    p_b: float = 1.0  # transmit power; cancels in every SIR expression
-    beta: float | None = None
     pcp: PcpParams | None = None
 
     def __post_init__(self):
@@ -70,10 +68,6 @@ class NetworkParameters:
                 raise ValueError(f"{name} must be finite and positive")
         _check_threshold(self.theta)
         sinc_delta(self.alpha)  # validates alpha > 2
-        if self.p_b <= 0:
-            raise ValueError("p_b must be positive")
-        if self.beta is not None and not self.beta > 1:
-            raise ValueError("beta must exceed 1 slot")
         if self.pcp is not None:
             implied = self.pcp.user_intensity
             if abs(implied - self.lambda_u) > 1e-6 * max(implied, self.lambda_u):
@@ -129,13 +123,12 @@ def solve_busy_probability(n_users: float, xi0: float, theta: float, alpha: floa
     Below the critical rate the buffer drains and the busy probability is the
     load amplified by interference; at or above it the station saturates at 1.
     """
-    _check_users(n_users)
     _check_rate(xi0)
-    _check_threshold(theta)
-    s = sinc_delta(alpha)
-    t = theta ** (2.0 / alpha)
-    if xi0 < s / (n_users * (s + t)):
-        return n_users * xi0 * s / (s - n_users * xi0 * t)
+    if xi0 < max_stable_rate(n_users, theta, alpha):
+        s = sinc_delta(alpha)
+        q = n_users * xi0 * s / (s - n_users * xi0 * theta ** (2.0 / alpha))
+        # just below the critical rate, rounding can lift q a hair above 1
+        return min(q, 1.0)
     return 1.0
 
 
@@ -185,19 +178,9 @@ def success_probability(q: float, theta: float, alpha: float) -> float:
 def approx_success_probability(
     n_users: float, xi0: float, theta: float, alpha: float
 ) -> float:
-    """Success probability with the busy level eliminated via its fixed point.
-
-    Equals success_probability(solve_busy_probability(...)); the two branches
-    meet continuously at the critical rate.
-    """
-    _check_users(n_users)
-    _check_rate(xi0)
-    _check_threshold(theta)
-    s = sinc_delta(alpha)
-    t = theta ** (2.0 / alpha)
-    if xi0 < s / (n_users * (s + t)):
-        return 1.0 - n_users * xi0 * t / s
-    return s / (s + t)
+    """Success probability at the busy level's fixed point."""
+    q = solve_busy_probability(n_users, xi0, theta, alpha)
+    return success_probability(q, theta, alpha)
 
 
 def achievable_rate(n_users: float, xi0: float, theta: float, alpha: float) -> float:
@@ -250,10 +233,8 @@ def _poisson_logpmf(k, mu: float) -> np.ndarray:
     return k * math.log(mu) - mu - gammaln(k + 1.0)
 
 
-def _poisson_cutoff(mu: float, tol: float) -> int:
-    """Count K whose Poisson tail mass beyond K is far below `tol`."""
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must lie in (0, 1e-6]")
+def _poisson_cutoff(mu: float) -> int:
+    """Count K whose Poisson(mu) tail mass beyond K is below 1e-30."""
     return int(math.ceil(mu + 12.0 * math.sqrt(mu) + 50.0))
 
 
@@ -265,38 +246,7 @@ def pmf_users_ppp(k: int, lambda_u: float, s: float) -> float:
         raise ValueError("lambda_u must be >= 0")
     if not s > 0:
         raise ValueError("cell area must be positive")
-    mu = lambda_u * s
-    if mu == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1.0))
-
-
-def pmf_users_pcp(k: int, pcp: PcpParams, s: float, tol: float = 1e-10) -> float:
-    """Probability of k users in a cell of area s when users arrive in clusters.
-
-    Whole clusters are attributed to the cell containing their parent, making
-    the count a compound Poisson mixture; the parent series is truncated once
-    its remaining Poisson mass drops below `tol`.
-    """
-    if k < 0 or int(k) != k:
-        raise ValueError("user count must be a nonnegative integer")
-    if not s > 0:
-        raise ValueError("cell area must be positive")
-    mu_parents = pcp.lambda_p * s
-    m_c = pcp.mean_cluster_size
-    a_max = _poisson_cutoff(mu_parents, tol)
-    a = np.arange(a_max + 1, dtype=float)
-    log_weights = _poisson_logpmf(a, mu_parents)
-    with np.errstate(divide="ignore"):
-        log_inner = np.where(
-            a > 0,
-            k * np.log(np.maximum(m_c * a, 1e-300)) - m_c * a - math.lgamma(k + 1.0),
-            0.0 if k == 0 else -np.inf,
-        )
-    total = float(np.exp(log_weights + log_inner).sum())
-    if not math.isfinite(total):
-        raise RuntimeError("cluster pmf series failed to converge numerically")
-    return total
+    return float(np.exp(_poisson_logpmf(k, lambda_u * s)))
 
 
 def user_count_pmf(
@@ -306,12 +256,23 @@ def user_count_pmf(
     tol: float = 1e-10,
     k_max: int | None = None,
 ) -> np.ndarray:
-    """PMF vector of the cell user count for k = 0..K, truncated at tail < tol."""
+    """PMF vector of the cell user count for k = 0..K.
+
+    Clustered users are attributed whole to the cell containing their
+    parent, making the count a Poisson mixture over the parent count.
+    Without `k_max`, every series stops 12 standard deviations plus 50 past
+    its Poisson mean, so the mass dropped is below 1e-29: far below any
+    admissible `tol` in (0, 1e-6], which is validated but does not move the
+    cutoff.  A cutoff at `tol` would shift small results of
+    `unstable_probability`, which counts dropped mass as unstable.
+    """
+    if not (0.0 < tol <= 1e-6):
+        raise ValueError("tol must lie in (0, 1e-6]")
     if not s > 0:
         raise ValueError("cell area must be positive")
     if model == PPP:
         mu = params.lambda_u * s
-        k_top = k_max if k_max is not None else _poisson_cutoff(mu, tol)
+        k_top = k_max if k_max is not None else _poisson_cutoff(mu)
         ks = np.arange(k_top + 1, dtype=float)
         return np.exp(_poisson_logpmf(ks, mu))
     if model == PCP:
@@ -320,8 +281,8 @@ def user_count_pmf(
         pcp = params.pcp
         mu_parents = pcp.lambda_p * s
         m_c = pcp.mean_cluster_size
-        a_max = _poisson_cutoff(mu_parents, tol)
-        k_top = k_max if k_max is not None else _poisson_cutoff(m_c * a_max, tol)
+        a_max = _poisson_cutoff(mu_parents)
+        k_top = k_max if k_max is not None else _poisson_cutoff(m_c * a_max)
         a = np.arange(a_max + 1, dtype=float)
         ks = np.arange(k_top + 1, dtype=float)
         log_weights = _poisson_logpmf(a, mu_parents)
@@ -367,7 +328,6 @@ def unstable_probability(
     model: str,
     params: NetworkParameters,
     s: float,
-    tol: float = 1e-10,
 ) -> float:
     """Probability that the typical user's queue cannot keep up with arrivals.
 
@@ -379,9 +339,7 @@ def unstable_probability(
         raise ValueError(
             "unstable probability is defined for exponential or uniform rate laws"
         )
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must lie in (0, 1e-6]")
-    pmf = user_count_pmf(model, params, s, tol)
+    pmf = user_count_pmf(model, params, s)
     ks = np.arange(1, len(pmf), dtype=float)
     s_const = sinc_delta(params.alpha)
     t_const = params.theta ** params.delta

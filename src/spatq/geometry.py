@@ -58,8 +58,12 @@ class Window:
         return np.array([0.5 * self.width, 0.5 * self.height])
 
     def wrap(self, xy: np.ndarray) -> np.ndarray:
-        """Fold coordinates back into the window (toroidal only)."""
-        return np.mod(xy, [self.width, self.height])
+        """Fold coordinates into [0, width) x [0, height) (toroidal only)."""
+        span = np.array([self.width, self.height])
+        folded = np.mod(xy, span)
+        # np.mod rounds a tiny negative coordinate up to the span itself
+        folded[folded >= span] = 0.0
+        return folded
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
         xy = np.atleast_2d(xy)
@@ -221,11 +225,7 @@ def _station_tree(points: np.ndarray, window: Window) -> cKDTree:
     """
     if window.metric != TOROIDAL:
         return cKDTree(points)
-    span = np.array([window.width, window.height])
-    folded = window.wrap(points)
-    # np.mod rounds a tiny negative coordinate up to the span itself
-    folded[folded >= span] = 0.0
-    return cKDTree(folded, boxsize=span)
+    return cKDTree(window.wrap(points), boxsize=[window.width, window.height])
 
 
 def _argmin_distance(targets: np.ndarray, bss: np.ndarray, window: Window) -> np.ndarray:

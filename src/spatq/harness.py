@@ -67,17 +67,21 @@ ANALYTIC_METRICS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One sweep scenario: model parameters, grid, and simulation controls."""
+    """One sweep scenario: model parameters, grid, and simulation controls.
+
+    The field defaults are the config file defaults too: `load_config`
+    passes only the keys a file sets.
+    """
 
     name: str
-    engine: str
-    model: str
-    metrics: tuple[str, ...]
     sweep_var: str
     grid: tuple[float, ...]
     seed: int
+    engine: str = ENGINE_ANALYTIC
+    model: str = PPP
+    metrics: tuple[str, ...] = ()
     lambda_b: float = 1.0
     lambda_u: float = 1.0
     theta: float = 10.0
@@ -85,8 +89,6 @@ class ExperimentConfig:
     n_users: float = 1.0
     xi0: float | None = None
     cell_area: float = 1.0
-    beta: float | None = None
-    p_b: float = 1.0  # transmit power; cancels in SIR but stays configurable
     pcp_r_c: float | None = None
     pcp_lambda_p: float | None = None
     pcp_lambda_p_factor: float | None = None
@@ -291,8 +293,6 @@ def _network_params(config: ExperimentConfig, point: _Point) -> NetworkParameter
         lambda_u=point.lambda_u,
         theta=point.theta,
         alpha=point.alpha,
-        p_b=config.p_b,
-        beta=config.beta,
         pcp=point.pcp if config.model == PCP else None,
     )
 
@@ -303,29 +303,22 @@ def _require(value, what: str):
     return value
 
 
+# per-cell metrics of (n_users, xi0, theta, alpha); each lambda looks its
+# analytics function up when called, so a patched module attribute is seen
+_CELL_METRICS = {
+    "busy_prob": lambda *cell: analytics.solve_busy_probability(*cell),
+    "success_prob": lambda *cell: analytics.approx_success_probability(*cell),
+    "achievable_rate": lambda *cell: analytics.achievable_rate(*cell),
+    "service_rate": lambda *cell: analytics.service_rate(*cell),
+    "delay": lambda *cell: analytics.mean_delay(*cell).value,
+}
+
+
 def _analytic_value(metric: str, config: ExperimentConfig, point: _Point) -> float | None:
-    n = point.n_users
-    if metric == "busy_prob":
-        return analytics.solve_busy_probability(
-            n, _require(point.xi0, "xi0"), point.theta, point.alpha
+    if metric in _CELL_METRICS:
+        return _CELL_METRICS[metric](
+            point.n_users, _require(point.xi0, "xi0"), point.theta, point.alpha
         )
-    if metric == "success_prob":
-        return analytics.approx_success_probability(
-            n, _require(point.xi0, "xi0"), point.theta, point.alpha
-        )
-    if metric == "achievable_rate":
-        return analytics.achievable_rate(
-            n, _require(point.xi0, "xi0"), point.theta, point.alpha
-        )
-    if metric == "service_rate":
-        return analytics.service_rate(
-            n, _require(point.xi0, "xi0"), point.theta, point.alpha
-        )
-    if metric == "delay":
-        result = analytics.mean_delay(
-            n, _require(point.xi0, "xi0"), point.theta, point.alpha
-        )
-        return result.value
     if metric == "unstable_prob":
         return analytics.unstable_probability(
             point.dist, config.model, _network_params(config, point), point.cell_area
@@ -347,10 +340,11 @@ def _analytic_value(metric: str, config: ExperimentConfig, point: _Point) -> flo
             _require(point.k, "a k sweep"), point.lambda_u, point.cell_area
         )
     if metric == "pmf_pcp":
-        return analytics.pmf_users_pcp(
-            _require(point.k, "a k sweep"), _require(point.pcp, "pcp parameters"),
-            point.cell_area,
+        k = _require(point.k, "a k sweep")
+        pmf = analytics.user_count_pmf(
+            PCP, _network_params(config, point), point.cell_area, k_max=k
         )
+        return float(pmf[k])
     raise ValueError(f"unknown analytic metric {metric!r}")
 
 
@@ -570,15 +564,37 @@ def _write_comparison(report: ComparisonReport, path) -> Path:
 
 # --- config file handling ---------------------------------------------------
 
-_INT_KEYS = {"horizon", "warmup", "replications", "samples", "seed", "workers"}
-_STR_KEYS = {"name", "engine", "model", "metrics", "distribution", "variable", "directory"}
+_INT_KEYS = {"horizon", "warmup", "replications", "samples", "seed", "workers", "num"}
+_STR_KEYS = {
+    "name", "engine", "model", "metrics", "distribution", "variable", "directory",
+    "grid", "scale",
+}
+
+# every key each INI section accepts
+_SECTION_KEYS = {
+    "scenario": {"name", "engine", "model", "metrics"},
+    "network": {
+        "lambda_b", "lambda_u", "theta", "theta_db", "alpha", "n_users", "xi0", "cell_area",
+        "pcp_r_c", "pcp_lambda_p", "pcp_lambda_p_factor", "pcp_lambda_c", "pcp_lambda_c_factor",
+    },
+    "traffic": {"distribution"},
+    "sweep": {"variable", "grid", "start", "stop", "num", "scale"},
+    "simulation": {
+        "seed", "horizon", "warmup", "replications", "samples", "q", "mean_bss", "workers",
+    },
+    "output": {"directory"},
+}
+# config keys that set an ExperimentConfig field of another name
+_FIELD_OF = {"variable": "sweep_var", "distribution": "dist", "directory": "output_dir"}
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Load an ExperimentConfig from an INI-style file plus key overrides.
 
     Overrides use `section.key` form and take precedence over file values.
-    The SIR threshold may be given as `theta` (linear) or `theta_db`.
+    The SIR threshold may be given as `theta` (linear) or `theta_db`.  Keys
+    the file leaves out take the ExperimentConfig defaults; unknown keys
+    are rejected.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if path is not None:
@@ -604,101 +620,65 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> Experimen
             if value.strip() == "":
                 cp.remove_option(section, key)
 
-    def get(section: str, key: str, default=None):
-        if not cp.has_option(section, key):
-            return default
-        raw = cp.get(section, key).strip()
-        try:
-            if key in _STR_KEYS:
-                return raw
-            if key in _INT_KEYS:
-                return int(raw)
-            return float(raw)
-        except ValueError as exc:
-            raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from None
+    values = {}
+    for section in cp.sections():
+        for key in cp.options(section):
+            if key not in _SECTION_KEYS.get(section, ()):
+                raise ValueError(f"unknown config key [{section}] {key}")
+            raw = cp.get(section, key).strip()
+            try:
+                if key in _STR_KEYS:
+                    values[key] = raw
+                elif key in _INT_KEYS:
+                    values[key] = int(raw)
+                else:
+                    values[key] = float(raw)
+            except ValueError as exc:
+                raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from None
+    for section, key in (("scenario", "name"), ("sweep", "variable"), ("simulation", "seed")):
+        if key not in values:
+            raise ValueError(f"config must set [{section}] {key}")
 
-    name = get("scenario", "name")
-    if not name:
-        raise ValueError("config must set [scenario] name")
-    seed = get("simulation", "seed")
-    if seed is None:
-        raise ValueError("config must set [simulation] seed")
-
-    theta = get("network", "theta")
-    theta_db = get("network", "theta_db")
-    if theta is not None and theta_db is not None:
-        raise ValueError("set either [network] theta or theta_db, not both")
+    theta_db = values.pop("theta_db", None)
     if theta_db is not None:
-        theta = 10.0 ** (theta_db / 10.0)
-    if theta is None:
-        theta = 10.0
-
-    grid = _parse_grid(cp)
-    metrics_raw = get("scenario", "metrics", "")
-    metrics = tuple(m.strip() for m in metrics_raw.split(",") if m.strip())
-    dist_spec = get("traffic", "distribution")
-    dist = (
-        ArrivalRateDistribution.parse(dist_spec)
-        if dist_spec
-        else ArrivalRateDistribution.deterministic(0.0)
-    )
-    out_dir = get("output", "directory") or os.environ.get(OUTPUT_DIR_ENV, ".")
+        if "theta" in values:
+            raise ValueError("set either [network] theta or theta_db, not both")
+        values["theta"] = 10.0 ** (theta_db / 10.0)
+    grid = _parse_grid(values)
+    if "metrics" in values:
+        values["metrics"] = tuple(m.strip() for m in values["metrics"].split(",") if m.strip())
+    if "distribution" in values:
+        values["distribution"] = ArrivalRateDistribution.parse(values["distribution"])
+    if "directory" not in values and OUTPUT_DIR_ENV in os.environ:
+        values["directory"] = os.environ[OUTPUT_DIR_ENV]
 
     try:
         return ExperimentConfig(
-            name=name,
-            engine=get("scenario", "engine", ENGINE_ANALYTIC),
-            model=get("scenario", "model", PPP),
-            metrics=metrics,
-            sweep_var=get("sweep", "variable", ""),
-            grid=grid,
-            seed=seed,
-            lambda_b=get("network", "lambda_b", 1.0),
-            lambda_u=get("network", "lambda_u", 1.0),
-            theta=theta,
-            alpha=get("network", "alpha", 4.0),
-            n_users=get("network", "n_users", 1.0),
-            xi0=get("network", "xi0"),
-            cell_area=get("network", "cell_area", 1.0),
-            beta=get("network", "beta"),
-            p_b=get("network", "p_b", 1.0),
-            pcp_r_c=get("network", "pcp_r_c"),
-            pcp_lambda_p=get("network", "pcp_lambda_p"),
-            pcp_lambda_p_factor=get("network", "pcp_lambda_p_factor"),
-            pcp_lambda_c=get("network", "pcp_lambda_c"),
-            pcp_lambda_c_factor=get("network", "pcp_lambda_c_factor"),
-            dist=dist,
-            horizon=get("simulation", "horizon", 20_000),
-            warmup=get("simulation", "warmup", 4_000),
-            replications=get("simulation", "replications", 1),
-            samples=get("simulation", "samples", 1_000_000),
-            q=get("simulation", "q"),
-            mean_bss=get("simulation", "mean_bss", 100.0),
-            workers=get("simulation", "workers", 1),
-            output_dir=out_dir,
+            grid=grid, **{_FIELD_OF.get(key, key): value for key, value in values.items()}
         )
     except ValueError as exc:
         raise ValueError(f"invalid config {path!r}: {exc}") from None
 
 
-def _parse_grid(cp: configparser.ConfigParser) -> tuple[float, ...]:
-    if cp.has_option("sweep", "grid"):
-        raw = cp.get("sweep", "grid")
+def _parse_grid(values: dict) -> tuple[float, ...]:
+    """Take the [sweep] grid keys out of `values` and return the grid."""
+    raw, start, stop, num, scale = (
+        values.pop(key, None) for key in ("grid", "start", "stop", "num", "scale")
+    )
+    if raw is not None:
         try:
             return tuple(float(v) for v in raw.split(",") if v.strip())
         except ValueError:
             raise ValueError(f"config [sweep] grid = {raw!r} is not a number list") from None
-    if cp.has_option("sweep", "start"):
-        start = cp.getfloat("sweep", "start")
-        stop = cp.getfloat("sweep", "stop")
-        num = cp.getint("sweep", "num")
-        scale = cp.get("sweep", "scale", fallback="linear")
-        if scale == "linear":
-            return tuple(np.linspace(start, stop, num))
-        if scale == "log":
-            return tuple(np.geomspace(start, stop, num))
-        raise ValueError(f"config [sweep] scale = {scale!r} must be linear or log")
-    raise ValueError("config must define [sweep] grid or start/stop/num")
+    if start is None:
+        raise ValueError("config must define [sweep] grid or start/stop/num")
+    if stop is None or num is None:
+        raise ValueError("config [sweep] start needs stop and num")
+    if scale in (None, "linear"):
+        return tuple(np.linspace(start, stop, num))
+    if scale == "log":
+        return tuple(np.geomspace(start, stop, num))
+    raise ValueError(f"config [sweep] scale = {scale!r} must be linear or log")
 
 
 # --- canned figure scenarios -------------------------------------------------

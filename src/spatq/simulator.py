@@ -27,9 +27,6 @@ from .geometry import (
 )
 from .traffic import ArrivalRateDistribution, ArrivalStream
 
-CELL_TYPICAL = "typical"
-CELL_CENTER = "center"
-
 _TRACE_GRID = 2048
 
 
@@ -320,7 +317,6 @@ def simulate_network(
     interference: bool = True,
     active_only: bool = False,
     slope_eps: float = 1e-3,
-    clamped_rate_fraction: float = 0.0,
     detail: bool = False,
 ):
     """Run the coupled slotted dynamics on an explicit network instance.
@@ -447,7 +443,7 @@ def simulate_network(
         per_user_mean_delay=mean_delay,
         delay_samples=delay_count,
         unstable_fraction=unstable_fraction,
-        clamped_rate_fraction=clamped_rate_fraction,
+        clamped_rate_fraction=0.0,
         seed=seed_value,
         horizon=horizon,
         warmup=warmup,
@@ -541,17 +537,12 @@ def run_coupled(
         interference=interference,
         active_only=active_only,
         slope_eps=slope_eps,
-        clamped_rate_fraction=clamped,
         detail=detail,
     )
     if detail:
         report, trace = result
-        return _with_seed(report, seed), trace
-    return _with_seed(result, seed)
-
-
-def _with_seed(report: MetricsReport, seed: int) -> MetricsReport:
-    return replace(report, seed=seed)
+        return replace(report, clamped_rate_fraction=clamped), trace
+    return replace(result, clamped_rate_fraction=clamped)
 
 
 def estimate_total_arrival_variance(
@@ -559,28 +550,22 @@ def estimate_total_arrival_variance(
     dist: ArrivalRateDistribution,
     replications: int,
     seed: int,
-    cell: str = CELL_TYPICAL,
-    association: str | None = None,
     mean_bss: float = 100.0,
     return_samples: bool = False,
 ):
     """Mean and variance of the summed arrival rate over one cell.
 
-    Each replication samples fresh stations and users, picks a cell
-    (a uniformly chosen station by default, or the one covering the window
-    center), and sums raw (unclamped) rate draws of the users it serves.
-    Clustered users follow their parent's nearest station by default, which
+    Each replication samples fresh stations and users, picks a uniformly
+    chosen station's cell, and sums raw (unclamped) rate draws of the users
+    it serves.  Clustered users follow their parent's nearest station, which
     matches how the closed-form variance counts whole clusters per cell.
     Picking among the finite station count inflates the estimate by roughly
     1/mean_bss, so raise `mean_bss` when chasing percent-level agreement.
     """
     if replications < 1_000:
         raise ValueError("need at least 1000 replications")
-    if cell not in (CELL_TYPICAL, CELL_CENTER):
-        raise ValueError(f"unknown cell selection {cell!r}")
     clustered = params.pcp is not None
-    if association is None:
-        association = PER_CLUSTER if clustered else PER_USER
+    association = PER_CLUSTER if clustered else PER_USER
     side = math.sqrt(mean_bss / params.lambda_b)
     window = Window(side, side, TOROIDAL)
     if clustered and 2.0 * params.pcp.r_c >= side:
@@ -598,12 +583,7 @@ def estimate_total_arrival_variance(
         else:
             users = sample_ppp(params.lambda_u, window, user_ss)
         rng = np.random.default_rng(aux_ss)
-        if cell == CELL_TYPICAL:
-            target = int(rng.integers(len(bss)))
-        else:
-            target = int(
-                np.argmin(window.distance_sq(window.center[None, :], bss.points)[0])
-            )
+        target = int(rng.integers(len(bss)))
         if len(users) == 0:
             totals[r] = 0.0
             continue

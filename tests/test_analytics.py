@@ -12,7 +12,6 @@ from spatq.analytics import (
     iterate_busy_probability,
     max_stable_rate,
     mean_delay,
-    pmf_users_pcp,
     pmf_users_ppp,
     service_rate,
     sinc_delta,
@@ -76,6 +75,15 @@ class TestBusyProbability:
             at = solve_busy_probability(n, b0, theta, alpha)
             assert at == 1.0
             assert below == pytest.approx(1.0, abs=1e-6)
+
+    def test_capped_at_one_just_below_critical_rate(self):
+        # at these cells the quotient rounds to 1 + 2e-16 .. 9e-15 one ulp
+        # below the critical rate
+        for n, theta, alpha in [(3, 3.7, 3.0), (3, 100.0, 2.5), (5, 0.5, 2.5), (7, 3.7, 5.0)]:
+            xi0 = float(np.nextafter(max_stable_rate(n, theta, alpha), 0.0))
+            assert solve_busy_probability(n, xi0, theta, alpha) <= 1.0
+            success = approx_success_probability(n, xi0, theta, alpha)
+            assert success == pytest.approx(success_probability(1.0, theta, alpha), rel=1e-12)
 
     def test_saturates_above_critical_rate(self):
         assert solve_busy_probability(10, 0.9, 10.0, 4.0) == 1.0
@@ -270,13 +278,21 @@ class TestUserCountPmfs:
         with pytest.raises(ValueError):
             pmf_users_ppp(1, 1.0, 0.0)
 
+    @staticmethod
+    def _clustered(lambda_u=1.0):
+        pcp = PcpParams(lambda_p=lambda_u / (1.1 * math.pi), lambda_c=1.1, r_c=1.0)
+        return NetworkParameters(
+            lambda_b=0.1, lambda_u=pcp.user_intensity, theta=10.0, alpha=4.0, pcp=pcp
+        )
+
     def test_pcp_zero_count_closed_form(self):
-        pcp = PcpParams(lambda_p=1 / (1.1 * math.pi), lambda_c=1.1, r_c=1.0)
+        params = self._clustered()
+        pcp = params.pcp
         s = 10.0
         expected = math.exp(
             pcp.lambda_p * s * (math.exp(-pcp.mean_cluster_size) - 1.0)
         )
-        assert pmf_users_pcp(0, pcp, s) == pytest.approx(expected, rel=1e-12)
+        assert user_count_pmf("pcp", params, s)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_pcp_normalizes_within_tolerance(self):
         params = NetworkParameters(
@@ -292,23 +308,28 @@ class TestUserCountPmfs:
         ppp = user_count_pmf("ppp", params, 10.0, tol=tol)
         assert ppp.sum() == pytest.approx(1.0, abs=10 * tol)
 
-    def test_pcp_vector_matches_scalar(self):
-        params = NetworkParameters(
-            lambda_b=0.1,
-            lambda_u=1.0,
-            theta=10.0,
-            alpha=4.0,
-            pcp=PcpParams(lambda_p=1 / (1.1 * math.pi), lambda_c=1.1, r_c=1.0),
-        )
-        pmf = user_count_pmf("pcp", params, 10.0)
-        for k in (0, 1, 5, 17):
-            assert pmf[k] == pytest.approx(pmf_users_pcp(k, params.pcp, 10.0), rel=1e-10)
+    def test_pcp_matches_panjer_recursion(self):
+        # the count is compound Poisson: Poisson(lambda_p*s) clusters of
+        # Poisson(m_c) users.  Panjer's recursion for a Poisson frequency,
+        # f(k) = (lam/k) * sum_j j*g(j)*f(k-j), builds its pmf term by term
+        # instead of summing the mixture over the parent count.
+        params = self._clustered()
+        s = 10.0
+        lam = params.pcp.lambda_p * s
+        m_c = params.pcp.mean_cluster_size
+        n = 60
+        g = [math.exp(-m_c + j * math.log(m_c) - math.lgamma(j + 1)) for j in range(n)]
+        f = [math.exp(lam * (g[0] - 1.0))]
+        for k in range(1, n):
+            f.append(lam / k * sum(j * g[j] * f[k - j] for j in range(1, k + 1)))
+        pmf = user_count_pmf("pcp", params, s)[:n]
+        assert pmf == pytest.approx(f, rel=1e-10)
 
     def test_clustering_inflates_empty_cells(self):
         # same mean user count: clustered cells are empty more often
         for lambda_u, s in [(0.5, 6.0), (1.0, 10.0), (2.0, 8.0)]:
-            pcp = PcpParams(lambda_p=lambda_u / (1.1 * math.pi), lambda_c=1.1, r_c=1.0)
-            assert pmf_users_pcp(0, pcp, s) >= pmf_users_ppp(0, lambda_u, s)
+            params = self._clustered(lambda_u)
+            assert user_count_pmf("pcp", params, s)[0] >= pmf_users_ppp(0, lambda_u, s)
 
 
 class TestTotalArrivalMoments:
@@ -377,8 +398,8 @@ class TestUnstableProbability:
         dist = ArrivalRateDistribution.uniform(0.02)
         params = self._params(0.5)
         s = 10.0
-        computed = unstable_probability(dist, "ppp", params, s, tol=1e-12)
-        pmf = user_count_pmf("ppp", params, s, tol=1e-12)
+        computed = unstable_probability(dist, "ppp", params, s)
+        pmf = user_count_pmf("ppp", params, s)
         total = pmf[0]
         for k in range(1, len(pmf)):
             f_k = max_stable_rate(k, params.theta, params.alpha)
@@ -400,9 +421,8 @@ class TestUnstableProbability:
             unstable_probability(dist, "ppp", self._params(1.0), 10.0)
 
     def test_bad_tolerance_rejected(self):
-        dist = ArrivalRateDistribution.exponential(0.01)
         with pytest.raises(ValueError):
-            unstable_probability(dist, "ppp", self._params(1.0), 10.0, tol=1e-3)
+            user_count_pmf("ppp", self._params(1.0), 10.0, tol=1e-3)
 
 
 class TestNetworkParameters:

@@ -45,6 +45,12 @@ class TestWindow:
         d2 = w.distance_sq(np.array([[0.5, 0.5]]), np.array([[9.5, 0.5]]))
         assert d2[0, 0] == pytest.approx(81.0)
 
+    def test_wrap_stays_below_the_span(self):
+        # np.mod(-1e-17, 10.0) rounds up to 10.0 itself
+        w = Window(10.0, 10.0)
+        wrapped = w.wrap(np.array([[-1e-17, 5.0], [10.0, -1e-17], [3.5, 12.0]]))
+        assert wrapped.tolist() == [[0.0, 5.0], [0.0, 0.0], [3.5, 2.0]]
+
 
 class TestSamplePpp:
     def test_zero_intensity_gives_empty_pattern(self):

@@ -103,6 +103,27 @@ class TestConfigLoading:
         config = load_config(delay_config)
         assert config.output_dir == "/tmp/spatq-out"
 
+    def test_unknown_key_rejected(self, tmp_path, delay_config):
+        path = tmp_path / "typo.cfg"
+        path.write_text(DELAY_CFG.replace("lambda_u = 1.0", "lamda_u = 5"))
+        with pytest.raises(ValueError, match=r"\[network\] lamda_u"):
+            load_config(path)
+        with pytest.raises(ValueError, match=r"\[network\] p_b"):
+            load_config(delay_config, {"network.p_b": "2"})
+        with pytest.raises(ValueError, match=r"\[simulation\] alpha"):
+            load_config(delay_config, {"simulation.alpha": "3"})
+
+    def test_missing_keys_take_field_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+        path = tmp_path / "minimal.cfg"
+        path.write_text(
+            "[scenario]\nname = m\nmetrics = busy_prob\n"
+            "[sweep]\nvariable = xi0\ngrid = 0.01\n[simulation]\nseed = 1\n"
+        )
+        assert load_config(path) == ExperimentConfig(
+            name="m", metrics=("busy_prob",), sweep_var="xi0", grid=(0.01,), seed=1
+        )
+
     def test_canned_configs_all_load(self):
         for figure, scenarios in harness.FIGURES.items():
             for scenario in scenarios:
@@ -353,6 +374,13 @@ class TestCli:
     def test_config_error_exits_two(self, tmp_path):
         code = cli.main(["analyze", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
+
+    def test_sweep_start_without_stop_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "range.cfg"
+        path.write_text(DELAY_CFG.replace("grid = 0.001,0.005,0.02", "start = 0.001\nnum = 3"))
+        code = cli.main(["analyze", "--config", str(path), "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "[sweep] start needs stop" in capsys.readouterr().err
 
     def test_reproduce_writes_figure_data(self, tmp_path):
         code = cli.main(["reproduce", "fig7", "--outdir", str(tmp_path)])

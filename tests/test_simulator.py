@@ -189,6 +189,16 @@ class TestSimulateNetwork:
         b = run_coupled(PARAMS, dist, horizon=1500, warmup=300, seed=5, mean_bss=25.0)
         assert a == b
 
+    def test_clamped_rate_fraction_reported(self):
+        # a mean-1 exponential law puts mass exp(-1) above the rate cap of 1
+        dist = ArrivalRateDistribution.parse("exp-mean:1")
+        run = dict(horizon=200, warmup=50, seed=11, mean_bss=100.0)
+        report = run_coupled(PARAMS, dist, **run)
+        assert report.clamped_rate_fraction == pytest.approx(math.exp(-1.0), abs=0.1)
+        assert report.seed == 11
+        detailed, _ = run_coupled(PARAMS, dist, **run, detail=True)
+        assert detailed == report
+
     def test_busy_probability_tracks_fixed_point(self):
         report = run_coupled(
             PARAMS,
