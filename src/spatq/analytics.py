@@ -196,8 +196,10 @@ def service_rate(n_users: float, xi0: float, theta: float, alpha: float) -> floa
 def mean_delay(n_users: float, xi0: float, theta: float, alpha: float) -> DelayResult:
     """Mean packet delay of a user sharing its station with n_users queues.
 
-    The service pool counts every associated user, busy or not, so the value
-    upper-bounds the delay seen under the literal dynamics.
+    The service pool counts every associated user, busy or not, which is the
+    coupled engine's scheduling rule: a station picks among all its users.
+    A scheduler that picks only among backlogged users would serve faster,
+    so the value upper-bounds its delay; spatq implements no such scheduler.
     """
     mu = service_rate(n_users, xi0, theta, alpha)
     if mu <= xi0:

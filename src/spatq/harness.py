@@ -594,9 +594,9 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> Experimen
     Overrides use `section.key` form and take precedence over file values.
     The SIR threshold may be given as `theta` (linear) or `theta_db`.  Keys
     the file leaves out take the ExperimentConfig defaults; unknown keys
-    are rejected.
+    are rejected.  Values are read verbatim: `%` is not an interpolation.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     if path is not None:
         read = cp.read(path)
         if not read:

@@ -9,7 +9,7 @@ within it, so the smallest possible packet delay is one slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .geometry import (
 from .traffic import ArrivalRateDistribution, ArrivalStream
 
 _TRACE_GRID = 2048
+# drift, in packets per slot, above which a queue counts as unstable
+_SLOPE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,28 +46,16 @@ class MetricsReport:
     horizon: int
     warmup: int
 
-    _FIELDS = (
-        "empirical_busy_prob",
-        "empirical_success_prob",
-        "per_user_mean_delay",
-        "delay_samples",
-        "unstable_fraction",
-        "clamped_rate_fraction",
-        "seed",
-        "horizon",
-        "warmup",
-    )
-
     def to_kv_text(self) -> str:
-        lines = [f"{name}={_format_value(getattr(self, name))}" for name in self._FIELDS]
+        lines = [f"{f.name}={_format_value(getattr(self, f.name))}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(cls._FIELDS)
+        return ",".join(f.name for f in fields(cls))
 
     def to_csv_row(self) -> str:
-        return ",".join(_format_value(getattr(self, name)) for name in self._FIELDS)
+        return ",".join(_format_value(getattr(self, f.name)) for f in fields(self))
 
 
 def _format_value(value) -> str:
@@ -80,7 +70,8 @@ class NetworkTrace:
 
     Queue lengths are sampled on a grid of at most 2048 slots, which is what
     the drift classifier consumes; exact per-packet accounting lives in the
-    departure log and the arrival/departure counters.
+    delay values and users, in departure order, and the arrival/departure
+    counters.
     """
 
     trace_slots: np.ndarray
@@ -89,11 +80,6 @@ class NetworkTrace:
     departures: np.ndarray
     delay_values: np.ndarray
     delay_users: np.ndarray
-    departure_log: list
-
-    @property
-    def final_queue(self) -> np.ndarray:
-        return self.arrivals - self.departures
 
 
 def _drift_fraction(traces: np.ndarray, slots: np.ndarray, slope_eps: float) -> float:
@@ -110,7 +96,7 @@ def _drift_fraction(traces: np.ndarray, slots: np.ndarray, slope_eps: float) -> 
 def classify_queue_stability(
     traces: np.ndarray,
     slots: np.ndarray | None = None,
-    slope_eps: float = 1e-3,
+    slope_eps: float = _SLOPE_EPS,
     min_span: int = 100_000,
 ) -> float:
     """Fraction of queues flagged unstable by a linear-drift test.
@@ -240,7 +226,6 @@ def run_delay_oracle(
     mu: float,
     horizon: int,
     seed: int,
-    slope_eps: float = 1e-3,
 ) -> DelayResult:
     """Mean sojourn time of a single queue with Bernoulli arrivals.
 
@@ -269,7 +254,7 @@ def run_delay_oracle(
     length = np.searchsorted(arrival_slots, grid, side="right") - np.searchsorted(
         departures, grid, side="right"
     )
-    if _drift_fraction(length[None, :], grid, slope_eps) > 0:
+    if _drift_fraction(length[None, :], grid, _SLOPE_EPS) > 0:
         return DelayResult(None)
     if not served.any():
         return DelayResult(None)
@@ -315,17 +300,18 @@ def simulate_network(
     warmup: int,
     seed,
     interference: bool = True,
-    active_only: bool = False,
-    slope_eps: float = 1e-3,
     detail: bool = False,
 ):
     """Run the coupled slotted dynamics on an explicit network instance.
 
     Per slot: arrivals are appended, every station draws one of its
-    associated users uniformly (all users by default; only backlogged ones
-    when `active_only`), transmits iff the drawn queue is non-empty, and all
-    concurrent transmissions interfere.  A success removes the head packet
-    and records delay = departure - arrival + 1.
+    associated users uniformly, transmits iff the drawn queue is non-empty,
+    and all concurrent transmissions interfere.  A success removes the head
+    packet and records delay = departure - arrival + 1.
+
+    The queues are one flat array of arrival slots, each user's run closed
+    by a `horizon` sentinel, and a head index per user to its oldest
+    unserved packet, so memory grows with the number of packets.
     """
     n_users = len(users)
     n_bs = len(bss)
@@ -344,59 +330,42 @@ def simulate_network(
     seed_value = int(ss.entropy) if isinstance(ss.entropy, int) else -1
 
     stream_seeds = arrivals_ss.generate_state(n_users, dtype=np.uint64)
-    arrived = np.empty((n_users, horizon), dtype=bool)
-    for u in range(n_users):
-        arrived[u] = ArrivalStream(rate=float(rates[u]), seed=int(stream_seeds[u])).arrivals(
-            0, horizon
-        )
-    cum_arrivals = np.cumsum(arrived, axis=1, dtype=np.int32)
-    arrival_slots = [np.flatnonzero(arrived[u]) for u in range(n_users)]
-    del arrived
+    streams = (ArrivalStream(rate=float(r), seed=int(s)) for r, s in zip(rates, stream_seeds))
+    # the sentinel is never due, so an empty queue's head fails the backlog test
+    arrival_slots = np.concatenate(
+        [np.append(np.flatnonzero(a.arrivals(0, horizon)), horizon) for a in streams]
+    )
+    ends = np.flatnonzero(arrival_slots == horizon)
+    first = np.append(0, ends[:-1] + 1)
+    head = first.copy()
 
     pathloss = bss.window.distance_sq(users.points, bss.points) ** (-0.5 * alpha)
 
-    live_bs = np.array([j for j in range(n_bs) if len(assoc.cell_members[j])], dtype=int)
-    counts = np.array([len(assoc.cell_members[j]) for j in live_bs], dtype=int)
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    members_flat = (
-        np.concatenate([assoc.cell_members[j] for j in live_bs])
-        if len(live_bs)
-        else np.empty(0, dtype=int)
-    )
+    cell_sizes = np.bincount(assoc.serving_bs, minlength=n_bs)
+    live_bs = np.flatnonzero(cell_sizes)
+    counts = cell_sizes[live_bs]
+    offsets = np.cumsum(counts) - counts
+    members_flat = np.argsort(assoc.serving_bs, kind="stable")
 
     sched_rng = np.random.default_rng(sched_ss)
     fading_rng = np.random.default_rng(fading_ss)
 
-    departed = np.zeros(n_users, dtype=np.int64)
     grid = np.unique(np.linspace(0, horizon - 1, min(_TRACE_GRID, horizon)).astype(int))
-    grid_set = {int(g): i for i, g in enumerate(grid)}
-    traces = np.zeros((n_users, len(grid)), dtype=np.int64)
+    grid_index = {int(g): i for i, g in enumerate(grid)}
+    head_on_grid = np.empty((n_users, len(grid)), dtype=np.int64)
 
     busy_bs_slots = 0
-    attempts = 0
     successes = 0
-    delay_sum = 0.0
+    delay_sum = 0
     delay_count = 0
-    delay_values: list[float] = []
+    delay_values: list[int] = []
     delay_users: list[int] = []
-    departure_log: list[tuple[int, int, int]] = []
 
     for t in range(horizon):
-        if len(live_bs):
-            draw = sched_rng.random(len(live_bs))
-            if active_only:
-                # chosen aligns with live_bs; -1 marks a station with no backlog
-                chosen = _choose_backlogged(
-                    draw, counts, offsets, members_flat, cum_arrivals[:, t], departed
-                )
-                act = chosen >= 0
-            else:
-                chosen = members_flat[offsets + (draw * counts).astype(int)]
-                act = (cum_arrivals[chosen, t] - departed[chosen]) > 0
-            served_users = chosen[act]
-        else:
-            act = np.empty(0, dtype=bool)
-            served_users = np.empty(0, dtype=int)
+        draw = sched_rng.random(len(live_bs))
+        chosen = members_flat[offsets + (draw * counts).astype(int)]
+        act = arrival_slots[head[chosen]] <= t
+        served_users = chosen[act]
 
         n_act = len(served_users)
         if n_act:
@@ -408,41 +377,38 @@ def simulate_network(
                 own = np.diagonal(link)
                 total = link.sum(axis=1)
                 ok = own > theta * (total - own)
+                winners = served_users[ok]
             else:
-                ok = np.ones(n_act, dtype=bool)
-            for u in served_users[ok]:
-                a_slot = int(arrival_slots[u][departed[u]])
-                departed[u] += 1
-                if a_slot >= warmup:
-                    delay = t - a_slot + 1
-                    delay_sum += delay
-                    delay_count += 1
-                    if detail:
-                        delay_values.append(delay)
-                        delay_users.append(int(u))
-                if detail:
-                    departure_log.append((int(u), a_slot, t))
+                winners = served_users
+            sent = arrival_slots[head[winners]]
+            head[winners] += 1
+            counted = sent >= warmup
+            delays = t + 1 - sent[counted]
+            delay_sum += int(delays.sum())
+            delay_count += len(delays)
+            if detail:
+                delay_values += delays.tolist()
+                delay_users += winners[counted].tolist()
             if t >= warmup:
                 busy_bs_slots += n_act
-                attempts += n_act
-                successes += int(np.count_nonzero(ok))
+                successes += len(winners)
 
-        gi = grid_set.get(t)
+        gi = grid_index.get(t)
         if gi is not None:
-            traces[:, gi] = cum_arrivals[:, t] - departed
+            head_on_grid[:, gi] = head
+
+    # packets arrived by each grid slot, minus those served by then
+    queue_lengths = first[:, None] - head_on_grid
+    for u in range(n_users):
+        queue_lengths[u] += np.searchsorted(arrival_slots[first[u]:ends[u]], grid, "right")
 
     observed = horizon - warmup
-    busy_prob = busy_bs_slots / (n_bs * observed) if n_bs else 0.0
-    success_prob = successes / attempts if attempts else 0.0
-    mean_delay = delay_sum / delay_count if delay_count else float("nan")
-    unstable_fraction = _drift_fraction(traces, grid, slope_eps)
-
     report = MetricsReport(
-        empirical_busy_prob=busy_prob,
-        empirical_success_prob=success_prob,
-        per_user_mean_delay=mean_delay,
+        empirical_busy_prob=busy_bs_slots / (n_bs * observed),
+        empirical_success_prob=successes / busy_bs_slots if busy_bs_slots else 0.0,
+        per_user_mean_delay=delay_sum / delay_count if delay_count else float("nan"),
         delay_samples=delay_count,
-        unstable_fraction=unstable_fraction,
+        unstable_fraction=_drift_fraction(queue_lengths, grid, _SLOPE_EPS),
         clamped_rate_fraction=0.0,
         seed=seed_value,
         horizon=horizon,
@@ -452,36 +418,13 @@ def simulate_network(
         return report
     trace = NetworkTrace(
         trace_slots=grid,
-        queue_lengths=traces,
-        arrivals=cum_arrivals[:, -1].astype(np.int64),
-        departures=departed.copy(),
+        queue_lengths=queue_lengths,
+        arrivals=ends - first,
+        departures=head - first,
         delay_values=np.asarray(delay_values, dtype=float),
         delay_users=np.asarray(delay_users, dtype=int),
-        departure_log=departure_log,
     )
     return report, trace
-
-
-def _choose_backlogged(
-    draw: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    members_flat: np.ndarray,
-    cum_now: np.ndarray,
-    departed: np.ndarray,
-) -> np.ndarray:
-    """Per station, draw uniformly among its backlogged users (sensitivity mode).
-
-    Returns one entry per station with members, -1 where none are backlogged.
-    """
-    chosen = np.full(len(counts), -1, dtype=int)
-    backlogged = (cum_now - departed) > 0
-    for i in range(len(counts)):
-        members = members_flat[offsets[i]:offsets[i] + counts[i]]
-        pool = members[backlogged[members]]
-        if len(pool):
-            chosen[i] = pool[int(draw[i] * len(pool))]
-    return chosen
 
 
 def run_coupled(
@@ -491,9 +434,6 @@ def run_coupled(
     warmup: int,
     seed: int,
     mean_bss: float = 100.0,
-    interference: bool = True,
-    active_only: bool = False,
-    slope_eps: float = 1e-3,
     detail: bool = False,
 ):
     """Sample a network and run the coupled dynamics on it.
@@ -534,9 +474,6 @@ def run_coupled(
         horizon,
         warmup,
         net_ss,
-        interference=interference,
-        active_only=active_only,
-        slope_eps=slope_eps,
         detail=detail,
     )
     if detail:

@@ -73,11 +73,6 @@ class ArrivalRateDistribution:
             return self.param * rng.random(size)
         return rng.exponential(self.param, size)
 
-    def sample_rate(self, seed: int) -> float:
-        """One draw clamped into [0, 1], usable as a Bernoulli parameter."""
-        value = self.sample(np.random.default_rng(seed))
-        return float(min(max(value, 0.0), 1.0))
-
     @classmethod
     def parse(cls, spec: str) -> "ArrivalRateDistribution":
         """Parse `det:x`, `unif:0:b`, or `exp-mean:m`."""

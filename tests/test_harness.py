@@ -382,6 +382,13 @@ class TestCli:
         assert code == 2
         assert "[sweep] start needs stop" in capsys.readouterr().err
 
+    def test_percent_in_value_read_verbatim(self, tmp_path):
+        path = tmp_path / "percent.cfg"
+        path.write_text(DELAY_CFG.replace("name = delay_sweep", "name = a%b"))
+        code = cli.main(["analyze", "--config", str(path), "--outdir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "a%b_analytic.csv").exists()
+
     def test_reproduce_writes_figure_data(self, tmp_path):
         code = cli.main(["reproduce", "fig7", "--outdir", str(tmp_path)])
         assert code == 0

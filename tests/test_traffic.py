@@ -62,7 +62,6 @@ class TestSampling:
         dist = ArrivalRateDistribution.deterministic(0.3)
         rng = np.random.default_rng(0)
         assert np.all(dist.sample(rng, 100) == 0.3)
-        assert dist.sample_rate(seed=5) == 0.3
 
     def test_uniform_mean(self):
         dist = ArrivalRateDistribution.uniform(0.02)
@@ -71,12 +70,11 @@ class TestSampling:
         assert draws.mean() == pytest.approx(0.01, abs=3 * sigma)
 
     def test_exponential_clamp_mass_is_negligible(self):
-        # P(draw > 1) = e^-100 for mean 0.01; sample_rate output stays in [0, 1]
+        # P(draw > 1) = e^-100 for mean 0.01
         dist = ArrivalRateDistribution.exponential(0.01)
         assert 1.0 - dist.cdf(1.0) < 1e-40
         draws = dist.sample(np.random.default_rng(4), 100_000)
         assert np.all(draws <= 1.0)
-        assert 0.0 <= dist.sample_rate(seed=9) <= 1.0
 
     @pytest.mark.parametrize(
         "dist",
