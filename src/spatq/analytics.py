@@ -22,7 +22,9 @@ PPP = "ppp"
 PCP = "pcp"
 
 # second moment of the gamma(3.5, 3.5) cell-area fit is 9/7, so the area
-# variance coefficient is 2/7 (printed as 0.2857 elsewhere)
+# variance coefficient is 2/7 (printed as 0.2857 elsewhere): the paper's
+# constant, about 2% above the exact Poisson-Voronoi cell-area variance
+# 0.2802/lambda^2 (Gilbert, Ann. Math. Stat. 1962)
 CELL_AREA_VARIANCE_COEFF = 2.0 / 7.0
 
 _MAX_FIXED_POINT_ITERATIONS = 50_000_000

@@ -78,11 +78,13 @@ class Window:
         """Pairwise squared distances between rows of `a` (n,2) and `b` (m,2)."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        diff = np.abs(a[:, None, :] - b[None, :, :])
+        # per axis, every temporary is (n, m), the size of the result
+        dx = np.abs(a[:, 0, None] - b[:, 0])
+        dy = np.abs(a[:, 1, None] - b[:, 1])
         if self.metric == TOROIDAL:
-            span = np.array([self.width, self.height])
-            diff = np.minimum(diff, span - diff)
-        return np.einsum("ijk,ijk->ij", diff, diff)
+            np.minimum(dx, self.width - dx, out=dx)
+            np.minimum(dy, self.height - dy, out=dy)
+        return np.square(dx, out=dx) + np.square(dy, out=dy)
 
 
 @dataclass(frozen=True)
@@ -157,20 +159,17 @@ class PointPattern:
 
 @dataclass(frozen=True)
 class AssociationMap:
-    """User-to-station assignment together with its inverse."""
+    """User-to-station assignment: user i is served by `serving_bs[i]`."""
 
     serving_bs: np.ndarray
-    cell_members: tuple[np.ndarray, ...]
 
     @classmethod
     def from_serving(cls, serving: np.ndarray, n_bs: int) -> "AssociationMap":
+        """Wrap station labels, each of which must lie in [0, n_bs)."""
         serving = np.asarray(serving, dtype=int)
-        order = np.argsort(serving, kind="stable")
-        bounds = np.searchsorted(serving[order], np.arange(n_bs + 1))
-        members = tuple(
-            order[bounds[j]:bounds[j + 1]] for j in range(n_bs)
-        )
-        return cls(serving_bs=serving, cell_members=members)
+        if len(serving) and not (0 <= serving.min() and serving.max() < n_bs):
+            raise ValueError(f"serving station labels must lie in [0, {n_bs})")
+        return cls(serving_bs=serving)
 
 
 def sample_ppp(intensity: float, window: Window, seed: int) -> PointPattern:

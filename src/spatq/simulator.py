@@ -68,10 +68,10 @@ def _format_value(value) -> str:
 class NetworkTrace:
     """Detailed per-queue bookkeeping from a coupled run (for verification).
 
-    Queue lengths are sampled on a grid of at most 2048 slots, which is what
-    the drift classifier consumes; exact per-packet accounting lives in the
-    delay values and users, in departure order, and the arrival/departure
-    counters.
+    `queue_lengths[u, k]` is user u's backlog after slot `trace_slots[k]`,
+    on the grid of at most 2048 slots that the drift classifier reads.
+    `delay_values` and `delay_users` cover the served packets that arrived at
+    or after the warmup, in departure order: by slot, then by station.
     """
 
     trace_slots: np.ndarray
@@ -85,6 +85,8 @@ class NetworkTrace:
 def _drift_fraction(traces: np.ndarray, slots: np.ndarray, slope_eps: float) -> float:
     """Fraction of queues whose length drifts upward over the last half."""
     half = slots >= slots[-1] / 2.0
+    if np.count_nonzero(half) < 2:  # no slope to fit
+        return 0.0
     x = slots[half].astype(float)
     y = traces[:, half].astype(float)
     x_c = x - x.mean()
@@ -186,38 +188,50 @@ def _thinned_interference(
 
 
 def _queue_departure_slots(
-    arrival_slots: np.ndarray, success_slots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    arrival_slots: np.ndarray, success_slots: np.ndarray, horizon: int
+) -> np.ndarray:
     """Departure slot per packet for a FIFO head-retry queue.
 
     Packet i departs at the first service-success slot that is >= its arrival
-    and strictly later than the previous departure.  Returns (departure slots
-    of served packets, boolean mask of packets served within the horizon).
+    and strictly later than the previous departure; a packet still queued at
+    the end of the horizon reads `horizon`.
     """
     m = len(arrival_slots)
-    if m == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=bool)
-    first_ok = np.searchsorted(success_slots, arrival_slots, side="left")
-    idx = np.arange(m)
-    ranks = np.maximum.accumulate(first_ok - idx) + idx
+    # updated in place to keep packet-sized temporaries few
+    ranks = np.searchsorted(success_slots, arrival_slots, side="left") - np.arange(m)
+    np.maximum.accumulate(ranks, out=ranks)
+    ranks += np.arange(m)
     served = ranks < len(success_slots)
-    return success_slots[ranks[served]], served
+    departed = np.full(m, horizon)
+    departed[served] = success_slots[ranks[served]]
+    return departed
 
 
-def _queue_reference_loop(
-    arrivals: np.ndarray, service_ok: np.ndarray
+def _queue_trace(
+    arrival_slots: np.ndarray, departed: np.ndarray, first, ends, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Trace grid of at most 2048 slots and each queue's length after them.
+
+    Queue u owns the FIFO packets `first[u]:ends[u]`; unserved ones read `horizon`.
+    """
+    grid = np.unique(np.linspace(0, horizon - 1, min(_TRACE_GRID, horizon)).astype(int))
+    lengths = np.empty((len(first), len(grid)), dtype=np.int64)
+    for u, (lo, hi) in enumerate(zip(first, ends)):
+        lengths[u] = np.searchsorted(arrival_slots[lo:hi], grid, "right")
+        lengths[u] -= np.searchsorted(departed[lo:hi], grid, "right")
+    return grid, lengths
+
+
+def _queue_reference_loop(arrivals: np.ndarray, service_ok: np.ndarray) -> np.ndarray:
     """Slot-by-slot reference implementation of the same queue dynamics."""
     buffer: list[int] = []
     delays = []
-    arrival_slots = []
     for t in range(len(arrivals)):
         if arrivals[t]:
             buffer.append(t)
-            arrival_slots.append(t)
         if buffer and service_ok[t]:
             delays.append(t - buffer.pop(0) + 1)
-    return np.asarray(delays), np.asarray(arrival_slots)
+    return np.asarray(delays)
 
 
 def run_delay_oracle(
@@ -248,17 +262,15 @@ def run_delay_oracle(
     success_slots = _bernoulli_slots(rng, horizon, mu)
     if len(arrival_slots) == 0:
         raise ValueError("no packets arrived within the horizon; raise xi0 or horizon")
-    departures, served = _queue_departure_slots(arrival_slots, success_slots)
+    departed = _queue_departure_slots(arrival_slots, success_slots, horizon)
 
-    grid = np.unique(np.linspace(0, horizon - 1, _TRACE_GRID).astype(int))
-    length = np.searchsorted(arrival_slots, grid, side="right") - np.searchsorted(
-        departures, grid, side="right"
-    )
-    if _drift_fraction(length[None, :], grid, _SLOPE_EPS) > 0:
+    grid, lengths = _queue_trace(arrival_slots, departed, [0], [len(arrival_slots)], horizon)
+    if _drift_fraction(lengths, grid, _SLOPE_EPS) > 0:
         return DelayResult(None)
+    served = departed < horizon
     if not served.any():
         return DelayResult(None)
-    delays = departures - arrival_slots[served] + 1
+    delays = departed[served] - arrival_slots[served] + 1
     return DelayResult(float(delays.mean()))
 
 
@@ -307,11 +319,12 @@ def simulate_network(
     Per slot: arrivals are appended, every station draws one of its
     associated users uniformly, transmits iff the drawn queue is non-empty,
     and all concurrent transmissions interfere.  A success removes the head
-    packet and records delay = departure - arrival + 1.
+    packet; its delay is departure - arrival + 1.
 
     The queues are one flat array of arrival slots, each user's run closed
-    by a `horizon` sentinel, and a head index per user to its oldest
-    unserved packet, so memory grows with the number of packets.
+    by a `horizon` sentinel, a head index per user to its oldest unserved
+    packet and a departure slot per packet (`horizon` until served), so
+    memory grows with the number of packets.  `detail` adds a `NetworkTrace`.
     """
     n_users = len(users)
     n_bs = len(bss)
@@ -338,6 +351,7 @@ def simulate_network(
     ends = np.flatnonzero(arrival_slots == horizon)
     first = np.append(0, ends[:-1] + 1)
     head = first.copy()
+    departed = np.full(len(arrival_slots), horizon)
 
     pathloss = bss.window.distance_sq(users.points, bss.points) ** (-0.5 * alpha)
 
@@ -350,17 +364,7 @@ def simulate_network(
     sched_rng = np.random.default_rng(sched_ss)
     fading_rng = np.random.default_rng(fading_ss)
 
-    grid = np.unique(np.linspace(0, horizon - 1, min(_TRACE_GRID, horizon)).astype(int))
-    grid_index = {int(g): i for i, g in enumerate(grid)}
-    head_on_grid = np.empty((n_users, len(grid)), dtype=np.int64)
-
     busy_bs_slots = 0
-    successes = 0
-    delay_sum = 0
-    delay_count = 0
-    delay_values: list[int] = []
-    delay_users: list[int] = []
-
     for t in range(horizon):
         draw = sched_rng.random(len(live_bs))
         chosen = members_flat[offsets + (draw * counts).astype(int)]
@@ -372,7 +376,7 @@ def simulate_network(
             if interference and n_act > 1:
                 station_of = live_bs[act]
                 link = fading_rng.standard_exponential((n_act, n_act)) * pathloss[
-                    np.ix_(served_users, station_of)
+                    served_users[:, None], station_of
                 ]
                 own = np.diagonal(link)
                 total = link.sum(axis=1)
@@ -380,34 +384,23 @@ def simulate_network(
                 winners = served_users[ok]
             else:
                 winners = served_users
-            sent = arrival_slots[head[winners]]
+            departed[head[winners]] = t
             head[winners] += 1
-            counted = sent >= warmup
-            delays = t + 1 - sent[counted]
-            delay_sum += int(delays.sum())
-            delay_count += len(delays)
-            if detail:
-                delay_values += delays.tolist()
-                delay_users += winners[counted].tolist()
             if t >= warmup:
                 busy_bs_slots += n_act
-                successes += len(winners)
 
-        gi = grid_index.get(t)
-        if gi is not None:
-            head_on_grid[:, gi] = head
-
-    # packets arrived by each grid slot, minus those served by then
-    queue_lengths = first[:, None] - head_on_grid
-    for u in range(n_users):
-        queue_lengths[u] += np.searchsorted(arrival_slots[first[u]:ends[u]], grid, "right")
+    # sentinels keep departed == horizon, so they count as never served
+    counted = (departed < horizon) & (arrival_slots >= warmup)
+    delays = departed[counted] - arrival_slots[counted] + 1
+    successes = np.count_nonzero((departed >= warmup) & (departed < horizon))
+    grid, queue_lengths = _queue_trace(arrival_slots, departed, first, ends, horizon)
 
     observed = horizon - warmup
     report = MetricsReport(
         empirical_busy_prob=busy_bs_slots / (n_bs * observed),
         empirical_success_prob=successes / busy_bs_slots if busy_bs_slots else 0.0,
-        per_user_mean_delay=delay_sum / delay_count if delay_count else float("nan"),
-        delay_samples=delay_count,
+        per_user_mean_delay=int(delays.sum()) / len(delays) if len(delays) else float("nan"),
+        delay_samples=len(delays),
         unstable_fraction=_drift_fraction(queue_lengths, grid, _SLOPE_EPS),
         clamped_rate_fraction=0.0,
         seed=seed_value,
@@ -416,13 +409,15 @@ def simulate_network(
     )
     if not detail:
         return report
+    packet_users = np.repeat(np.arange(n_users), ends - first + 1)[counted]
+    order = np.lexsort((assoc.serving_bs[packet_users], departed[counted]))
     trace = NetworkTrace(
         trace_slots=grid,
         queue_lengths=queue_lengths,
         arrivals=ends - first,
         departures=head - first,
-        delay_values=np.asarray(delay_values, dtype=float),
-        delay_users=np.asarray(delay_users, dtype=int),
+        delay_values=delays[order].astype(float),
+        delay_users=packet_users[order],
     )
     return report, trace
 

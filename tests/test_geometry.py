@@ -136,8 +136,8 @@ class TestAssociate:
         users = sample_ppp(1.0, w, seed=2)
         bss = PointPattern(np.array([[5.0, 5.0]]), w)
         amap = associate(users, bss)
+        assert amap.serving_bs.shape == (len(users),)
         assert np.all(amap.serving_bs == 0)
-        assert len(amap.cell_members[0]) == len(users)
 
     def test_empty_station_pattern_rejected(self):
         w = Window(10.0, 10.0)
@@ -165,9 +165,10 @@ class TestAssociate:
         users = sample_ppp(0.8, w, seed=21)
         bss = sample_ppp(0.2, w, seed=22)
         amap = associate(users, bss)
-        for j, members in enumerate(amap.cell_members):
-            assert np.all(amap.serving_bs[members] == j)
-        assert sum(len(m) for m in amap.cell_members) == len(users)
+        assert amap.serving_bs.shape == (len(users),)
+        assert amap.serving_bs.min() >= 0 and amap.serving_bs.max() < len(bss)
+        rebuilt = AssociationMap.from_serving(amap.serving_bs, n_bs=len(bss))
+        assert np.array_equal(rebuilt.serving_bs, amap.serving_bs)
 
     def test_per_cluster_follows_parent(self):
         w = Window(20.0, 20.0)
@@ -203,9 +204,11 @@ class TestAssociate:
             if len(bss) == 0:
                 continue
             users = sample_pcp(pcp, w, ss[1])
-            per_user_counts.append(len(associate(users, bss, PER_USER).cell_members[0]))
+            per_user_counts.append(
+                np.count_nonzero(associate(users, bss, PER_USER).serving_bs == 0)
+            )
             per_cluster_counts.append(
-                len(associate(users, bss, PER_CLUSTER).cell_members[0])
+                np.count_nonzero(associate(users, bss, PER_CLUSTER).serving_bs == 0)
             )
         mean_pu = np.mean(per_user_counts)
         mean_pc = np.mean(per_cluster_counts)
@@ -408,4 +411,11 @@ class TestAssociationMapInvariants:
     def test_from_serving_round_trip(self):
         serving = np.array([2, 0, 2, 1, 0])
         amap = AssociationMap.from_serving(serving, n_bs=3)
-        assert [list(m) for m in amap.cell_members] == [[1, 4], [3], [0, 2]]
+        assert np.array_equal(amap.serving_bs, serving)
+        empty = AssociationMap.from_serving(np.empty(0, dtype=int), n_bs=1)
+        assert empty.serving_bs.shape == (0,)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_labels_outside_the_stations_rejected(self, label):
+        with pytest.raises(ValueError):
+            AssociationMap.from_serving(np.array([0, label, 2]), n_bs=3)

@@ -48,22 +48,26 @@ class TestQueueRecursion:
         xi0, mu = rng.uniform(0.01, 0.3), rng.uniform(0.3, 0.9)
         arrivals = rng.random(50_000) < xi0
         service = rng.random(50_000) < mu
-        ref_delays, _ = _queue_reference_loop(arrivals, service)
+        ref_delays = _queue_reference_loop(arrivals, service)
         arrival_slots = np.flatnonzero(arrivals)
         success_slots = np.flatnonzero(service)
-        departures, served = _queue_departure_slots(arrival_slots, success_slots)
-        delays = departures - arrival_slots[served] + 1
+        departed = _queue_departure_slots(arrival_slots, success_slots, 50_000)
+        served = departed < 50_000
+        delays = departed[served] - arrival_slots[served] + 1
         assert np.array_equal(delays[: len(ref_delays)], ref_delays)
         # the loop only counts completed departures; the recursion agrees there
         assert len(delays) == len(ref_delays)
+        # packets still queued at the horizon are the newest ones
+        assert np.all(served[: len(ref_delays)]) and not np.any(served[len(ref_delays):])
 
     def test_departures_keep_arrival_order(self):
         rng = np.random.default_rng(9)
         arrival_slots = np.flatnonzero(rng.random(20_000) < 0.1)
         success_slots = np.flatnonzero(rng.random(20_000) < 0.2)
-        departures, served = _queue_departure_slots(arrival_slots, success_slots)
-        assert np.all(np.diff(departures) > 0)
-        assert np.all(departures >= arrival_slots[served])
+        departed = _queue_departure_slots(arrival_slots, success_slots, 20_000)
+        served = departed < 20_000
+        assert np.all(np.diff(departed[served]) > 0)
+        assert np.all(departed >= arrival_slots)
 
 
 class TestBernoulliSlots:
@@ -188,6 +192,35 @@ class TestSimulateNetwork:
         assert np.array_equal(np.bincount(trace.delay_users, minlength=n), trace.departures)
         assert report.delay_samples == len(trace.delay_values)
 
+    def test_warmup_counts_only_later_arrivals(self):
+        report, trace = run_coupled(
+            PARAMS,
+            ArrivalRateDistribution.deterministic(0.02),
+            horizon=3000,
+            warmup=800,
+            seed=7,
+            mean_bss=36.0,
+            detail=True,
+        )
+        assert report.delay_samples == len(trace.delay_values) > 0
+        assert report.per_user_mean_delay == trace.delay_values.mean()
+        assert np.array_equal(trace.queue_lengths[:, -1], trace.arrivals - trace.departures)
+        assert np.all(trace.delay_values >= 1)
+        # served packets that arrived during the warmup are left out
+        assert np.all(np.bincount(trace.delay_users, minlength=len(trace.arrivals))
+                      <= trace.departures)
+        assert len(trace.delay_values) < trace.departures.sum()
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_one_or_two_slot_horizon_flags_no_drift(self, horizon):
+        # the last half of the trace grid holds one slot: no slope to fit
+        bss, users, assoc, rates = single_cell_instance(3, 1.0)
+        with np.errstate(all="raise"):
+            report = simulate_network(
+                bss, users, assoc, rates, 10.0, 4.0, horizon=horizon, warmup=0, seed=1
+            )
+        assert report.unstable_fraction == 0.0
+
     def test_fifo_matches_reference_queues(self):
         # without interference every pick of a backlogged user is a success,
         # so each user is an independent queue served in the slots its
@@ -204,7 +237,7 @@ class TestSimulateNetwork:
         packets = 0
         for u in range(n):
             arrivals = ArrivalStream(rate=rate, seed=int(stream_seeds[u])).arrivals(0, horizon)
-            ref_delays, _ = _queue_reference_loop(arrivals, picks == u)
+            ref_delays = _queue_reference_loop(arrivals, picks == u)
             assert np.array_equal(trace.delay_values[trace.delay_users == u], ref_delays)
             packets += len(ref_delays)
         assert packets == len(trace.delay_values) > 4000
