@@ -25,9 +25,12 @@ from .geometry import (
     sample_pcp,
     sample_ppp,
 )
-from .traffic import ArrivalRateDistribution, ArrivalStream
+from .traffic import ArrivalRateDistribution, ArrivalStream, _bernoulli_slots
 
 _TRACE_GRID = 2048
+# values per refill of a draw buffer, and queues per block of the drift fit:
+# both bound a buffer's memory while amortizing per-call overhead
+_BLOCK = 1 << 16
 # drift, in packets per slot, above which a queue counts as unstable
 _SLOPE_EPS = 1e-3
 
@@ -83,15 +86,22 @@ class NetworkTrace:
 
 
 def _drift_fraction(traces: np.ndarray, slots: np.ndarray, slope_eps: float) -> float:
-    """Fraction of queues whose length drifts upward over the last half."""
+    """Fraction of queues whose length drifts upward over the last half.
+
+    The least-squares slope of a row is its dot product with a weight per
+    grid slot, zero outside the last half.  The weights sum to zero, so the
+    rows need no centring, and they are reduced a block of rows at a time.
+    """
     half = slots >= slots[-1] / 2.0
     if np.count_nonzero(half) < 2:  # no slope to fit
         return 0.0
-    x = slots[half].astype(float)
-    y = traces[:, half].astype(float)
-    x_c = x - x.mean()
-    denom = float((x_c**2).sum())
-    slopes = (y - y.mean(axis=1, keepdims=True)) @ x_c / denom
+    x_c = slots[half] - slots[half].mean()
+    weights = np.zeros(len(slots))
+    weights[half] = x_c / (x_c**2).sum()
+    slopes = np.empty(len(traces))
+    rows = max(1, _BLOCK // len(slots))
+    for lo in range(0, len(traces), rows):
+        slopes[lo : lo + rows] = traces[lo : lo + rows] @ weights
     return float(np.mean(slopes > slope_eps))
 
 
@@ -274,31 +284,68 @@ def run_delay_oracle(
     return DelayResult(float(delays.mean()))
 
 
-def _bernoulli_slots(rng: np.random.Generator, horizon: int, p: float) -> np.ndarray:
-    """Sorted slot indices in [0, horizon) of i.i.d. Bernoulli(p) slot events.
+def _serve_slots(
+    arrival_slots: np.ndarray,
+    head: np.ndarray,
+    departed: np.ndarray,
+    serving_bs: np.ndarray,
+    pathloss: np.ndarray,
+    theta: float,
+    interference: bool,
+    horizon: int,
+    warmup: int,
+    sched_rng: np.random.Generator,
+    fading_rng: np.random.Generator,
+) -> int:
+    """Run the slot loop of `simulate_network`, updating `head` and `departed`.
 
-    The gaps between consecutive events are i.i.d. geometric(p), so the
-    slots are running sums of geometric draws and the cost grows with the
-    number of events, not with the horizon.  One block of draws covers the
-    horizon unless the count runs more than six standard deviations high.
+    Returns the busy station-slots at or after `warmup`.  The scheduling
+    uniforms are drawn a block of slots at a time, one row per slot and one
+    column per station with users, and the fading exponentials come from a
+    buffer refilled in stream order.  Both generators then yield the same
+    values in the same order as one draw per slot would, with memory
+    bounded by `_BLOCK` values per buffer.
     """
-    if p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(horizon, dtype=np.int64)
-    blocks = []
-    last = -1  # slot of the latest event drawn
-    while True:
-        expected = (horizon - 1 - last) * p
-        slots = rng.geometric(p, int(expected + 6.0 * math.sqrt(expected) + 16))
-        np.cumsum(slots, out=slots)
-        slots += last
-        if slots[-1] >= horizon:
-            blocks.append(slots[: np.searchsorted(slots, horizon)])
-            break
-        blocks.append(slots)
-        last = int(slots[-1])
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    cell_sizes = np.bincount(serving_bs)
+    live_bs = np.flatnonzero(cell_sizes)
+    counts = cell_sizes[live_bs]
+    offsets = np.cumsum(counts) - counts
+    members_flat = np.argsort(serving_bs, kind="stable")
+    rows = max(1, _BLOCK // len(live_bs))
+    fades = np.empty(0)
+    used = 0  # fades consumed from the buffer
+
+    busy_bs_slots = 0
+    for start in range(0, horizon, rows):
+        draws = sched_rng.random((min(rows, horizon - start), len(live_bs)))
+        picks = members_flat[offsets + (draws * counts).astype(int)]
+        for t, chosen in enumerate(picks, start):
+            act = arrival_slots[head[chosen]] <= t
+            served_users = chosen[act]
+
+            n_act = len(served_users)
+            if not n_act:
+                continue
+            if interference and n_act > 1:
+                need = n_act * n_act
+                if used + need > len(fades):
+                    fresh = fading_rng.standard_exponential(max(need, _BLOCK))
+                    fades = np.concatenate((fades[used:], fresh))
+                    used = 0
+                link = fades[used : used + need].reshape(n_act, n_act) * pathloss[
+                    served_users[:, None], live_bs[act]
+                ]
+                used += need
+                own = link.diagonal()
+                total = link.sum(axis=1)
+                winners = served_users[own > theta * (total - own)]
+            else:
+                winners = served_users
+            departed[head[winners]] = t
+            head[winners] += 1
+            if t >= warmup:
+                busy_bs_slots += n_act
+    return busy_bs_slots
 
 
 def simulate_network(
@@ -337,6 +384,9 @@ def simulate_network(
         raise ValueError("rates must give one Bernoulli parameter per user")
     if np.any((rates < 0) | (rates > 1)):
         raise ValueError("rates must lie in [0, 1]")
+    serving = np.asarray(assoc.serving_bs)
+    if serving.shape != (n_users,) or serving.min() < 0 or serving.max() >= n_bs:
+        raise ValueError(f"assoc must give each user one station label in [0, {n_bs})")
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     arrivals_ss, sched_ss, fading_ss = ss.spawn(3)
@@ -354,40 +404,11 @@ def simulate_network(
     departed = np.full(len(arrival_slots), horizon)
 
     pathloss = bss.window.distance_sq(users.points, bss.points) ** (-0.5 * alpha)
-
-    cell_sizes = np.bincount(assoc.serving_bs, minlength=n_bs)
-    live_bs = np.flatnonzero(cell_sizes)
-    counts = cell_sizes[live_bs]
-    offsets = np.cumsum(counts) - counts
-    members_flat = np.argsort(assoc.serving_bs, kind="stable")
-
-    sched_rng = np.random.default_rng(sched_ss)
-    fading_rng = np.random.default_rng(fading_ss)
-
-    busy_bs_slots = 0
-    for t in range(horizon):
-        draw = sched_rng.random(len(live_bs))
-        chosen = members_flat[offsets + (draw * counts).astype(int)]
-        act = arrival_slots[head[chosen]] <= t
-        served_users = chosen[act]
-
-        n_act = len(served_users)
-        if n_act:
-            if interference and n_act > 1:
-                station_of = live_bs[act]
-                link = fading_rng.standard_exponential((n_act, n_act)) * pathloss[
-                    served_users[:, None], station_of
-                ]
-                own = np.diagonal(link)
-                total = link.sum(axis=1)
-                ok = own > theta * (total - own)
-                winners = served_users[ok]
-            else:
-                winners = served_users
-            departed[head[winners]] = t
-            head[winners] += 1
-            if t >= warmup:
-                busy_bs_slots += n_act
+    busy_bs_slots = _serve_slots(
+        arrival_slots, head, departed, serving, pathloss, theta,
+        interference, horizon, warmup, np.random.default_rng(sched_ss),
+        np.random.default_rng(fading_ss),
+    )
 
     # sentinels keep departed == horizon, so they count as never served
     counted = (departed < horizon) & (arrival_slots >= warmup)
@@ -410,7 +431,7 @@ def simulate_network(
     if not detail:
         return report
     packet_users = np.repeat(np.arange(n_users), ends - first + 1)[counted]
-    order = np.lexsort((assoc.serving_bs[packet_users], departed[counted]))
+    order = np.lexsort((serving[packet_users], departed[counted]))
     trace = NetworkTrace(
         trace_slots=grid,
         queue_lengths=queue_lengths,

@@ -100,24 +100,44 @@ class ArrivalRateDistribution:
         return f"exp-mean:{self.param:g}"
 
 
-def _slot_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """Uniform(0,1) value for each slot in [start, stop), random-access.
+def _bernoulli_slots(rng: np.random.Generator, horizon: int, p: float) -> np.ndarray:
+    """Sorted slot indices in [0, horizon) of i.i.d. Bernoulli(p) slot events.
 
-    Slot t reads the first double of counter block t of a keyed Philox
-    stream, so single-slot lookups and batched ranges agree bit for bit.
+    The gaps between consecutive events are i.i.d. geometric(p), so the
+    slots are running sums of geometric draws and the cost grows with the
+    number of events, not with the horizon.  One block of draws covers the
+    horizon unless the count runs more than six standard deviations high.
+    The gaps come off `rng` in order whatever the block sizes, so a fresh
+    generator in the same state yields the same events for every horizon,
+    up to that horizon.
     """
-    if start < 0 or stop < start:
-        raise ValueError("need 0 <= start <= stop")
-    n = stop - start
-    if n == 0:
-        return np.empty(0)
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=start))
-    return gen.random(4 * n)[::4]
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(horizon, dtype=np.int64)
+    blocks = []
+    last = -1  # slot of the latest event drawn
+    while True:
+        expected = (horizon - 1 - last) * p
+        slots = rng.geometric(p, int(expected + 6.0 * math.sqrt(expected) + 16))
+        np.cumsum(slots, out=slots)
+        slots += last
+        if slots[-1] >= horizon:
+            blocks.append(slots[: np.searchsorted(slots, horizon)])
+            break
+        blocks.append(slots)
+        last = int(slots[-1])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
 class ArrivalStream:
-    """Slot-indexed Bernoulli arrival process."""
+    """Bernoulli arrival process, one packet per slot with probability `rate`.
+
+    The arrival slots are running sums of geometric gaps drawn from a
+    generator seeded with `seed`, so a stream is fixed by (rate, seed) and
+    every window is a slice of the same sequence.
+    """
 
     rate: float
     seed: int
@@ -126,12 +146,11 @@ class ArrivalStream:
         if not (0.0 <= self.rate <= 1.0):
             raise ValueError("rate must lie in [0, 1]")
 
-    def next_arrival(self, slot: int) -> bool:
-        """Whether a packet arrives in the given slot; pure in (seed, slot)."""
-        if slot < 0:
-            raise ValueError("slot must be >= 0")
-        return bool(_slot_uniforms(self.seed, slot, slot + 1)[0] < self.rate)
-
     def arrivals(self, start: int, stop: int) -> np.ndarray:
-        """Vectorized arrival indicators for slots [start, stop)."""
-        return _slot_uniforms(self.seed, start, stop) < self.rate
+        """Arrival indicators for slots [start, stop): `arrivals(0, stop)[start:]`."""
+        if start < 0 or stop < start:
+            raise ValueError("need 0 <= start <= stop")
+        out = np.zeros(stop - start, dtype=bool)
+        slots = _bernoulli_slots(np.random.default_rng(self.seed), stop, self.rate)
+        out[slots[np.searchsorted(slots, start):] - start] = True
+        return out

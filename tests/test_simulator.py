@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spatq import simulator
 from spatq.analytics import NetworkParameters, solve_busy_probability
 from spatq.geometry import (
     AssociationMap,
@@ -16,7 +17,6 @@ from spatq.geometry import (
 from spatq.harness import write_rows
 from spatq.simulator import (
     MetricsReport,
-    _bernoulli_slots,
     _queue_departure_slots,
     _queue_reference_loop,
     classify_queue_stability,
@@ -26,7 +26,7 @@ from spatq.simulator import (
     run_sir_static,
     simulate_network,
 )
-from spatq.traffic import ArrivalRateDistribution, ArrivalStream
+from spatq.traffic import ArrivalRateDistribution, ArrivalStream, _bernoulli_slots
 
 PARAMS = NetworkParameters(lambda_b=1.0, lambda_u=5.0, theta=10.0, alpha=4.0)
 
@@ -39,6 +39,39 @@ def single_cell_instance(n_users: int, rate: float, seed: int = 0):
     assoc = AssociationMap.from_serving(np.zeros(n_users, dtype=int), 1)
     rates = np.full(n_users, rate)
     return bss, users, assoc, rates
+
+
+def per_slot_serve(
+    arrival_slots, head, departed, serving_bs, pathloss, theta, interference,
+    horizon, warmup, sched_rng, fading_rng,
+):
+    """Reference slot loop: one scheduling and one fading draw call per slot."""
+    cell_sizes = np.bincount(serving_bs)
+    live_bs = np.flatnonzero(cell_sizes)
+    counts = cell_sizes[live_bs]
+    offsets = np.cumsum(counts) - counts
+    members_flat = np.argsort(serving_bs, kind="stable")
+    busy_bs_slots = 0
+    for t in range(horizon):
+        draw = sched_rng.random(len(live_bs))
+        chosen = members_flat[offsets + (draw * counts).astype(int)]
+        act = arrival_slots[head[chosen]] <= t
+        served_users = chosen[act]
+        n_act = len(served_users)
+        if n_act:
+            if interference and n_act > 1:
+                link = fading_rng.standard_exponential((n_act, n_act)) * pathloss[
+                    served_users[:, None], live_bs[act]
+                ]
+                own = np.diagonal(link)
+                winners = served_users[own > theta * (link.sum(axis=1) - own)]
+            else:
+                winners = served_users
+            departed[head[winners]] = t
+            head[winners] += 1
+            if t >= warmup:
+                busy_bs_slots += n_act
+    return busy_bs_slots
 
 
 class TestQueueRecursion:
@@ -287,6 +320,51 @@ class TestSimulateNetwork:
                 bss, users, assoc, rates * 3.0, 10.0, 4.0, 1000, 100, seed=1
             )
 
+    @pytest.mark.parametrize(
+        "serving,n_bs",
+        [([0, 0], 1), ([0, 0, 0, 0, 0], 1), ([0, 1, 0, 0], 1), ([0, -1, 0, 0], 2)],
+    )
+    def test_serving_labels_must_cover_every_user(self, serving, n_bs):
+        w = Window(1.0, 1.0)
+        bss = PointPattern(np.array([[0.25, 0.5], [0.75, 0.5]])[:n_bs], w)
+        users = PointPattern(np.random.default_rng(0).random((4, 2)), w)
+        assoc = AssociationMap(serving_bs=np.array(serving))
+        with pytest.raises(ValueError, match="station label"):
+            simulate_network(bss, users, assoc, np.full(4, 0.1), 10.0, 4.0, 1000, 100, seed=1)
+
+    def test_one_arrivals_call_per_user(self, monkeypatch):
+        # the benchmark's tracer counts user-slots from these calls
+        calls = []
+        original = ArrivalStream.arrivals
+
+        def spy(stream, start, stop):
+            calls.append((start, stop))
+            return original(stream, start, stop)
+
+        monkeypatch.setattr(ArrivalStream, "arrivals", spy)
+        bss, users, assoc, rates = single_cell_instance(4, 0.1)
+        simulate_network(bss, users, assoc, rates, 10.0, 4.0, horizon=700, warmup=0, seed=1)
+        assert calls == [(0, 700)] * 4
+
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    def test_blocked_draws_match_per_slot_draws(self, monkeypatch, block):
+        # block 7 refills both buffers often and draws one slot per block
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        params = NetworkParameters(lambda_b=1.0, lambda_u=5.0, theta=10.0, alpha=4.0)
+        dist = ArrivalRateDistribution.uniform(0.06)
+        run = dict(horizon=9_000, warmup=1_000, seed=23, mean_bss=16.0, detail=True)
+        report, trace = run_coupled(params, dist, **run)
+        monkeypatch.setattr(simulator, "_serve_slots", per_slot_serve)
+        ref_report, ref_trace = run_coupled(params, dist, **run)
+        assert report.to_kv_text() == ref_report.to_kv_text()
+        assert report.empirical_busy_prob > 0.2 and report.unstable_fraction > 0
+        for name in (
+            "trace_slots", "queue_lengths", "arrivals", "departures",
+            "delay_values", "delay_users",
+        ):
+            mine, ref = getattr(trace, name), getattr(ref_trace, name)
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref), name
+
     def test_empty_users_rejected(self):
         w = Window(1.0, 1.0)
         bss = PointPattern(np.array([[0.5, 0.5]]), w)
@@ -316,6 +394,22 @@ class TestClassifyQueueStability:
         # constructed overload: arrival rate far above service rate
         result = run_delay_oracle(10, 0.05, 0.01, 1_000_000, seed=6)
         assert result.unstable
+
+    def test_matches_centred_least_squares(self, monkeypatch):
+        # blocks of two rows; the slopes are those of the centred fit
+        monkeypatch.setattr(simulator, "_BLOCK", 2 * 400)
+        slots = np.linspace(0, 200_000, 400).astype(int)
+        rng = np.random.default_rng(4)
+        drift = rng.uniform(-3e-3, 3e-3, (41, 1))
+        traces = (rng.integers(0, 50, (41, 400)) + 1e4 + drift * slots).astype(np.int64)
+        half = slots >= slots[-1] / 2.0
+        x_c = slots[half] - slots[half].mean()
+        y = traces[:, half] - traces[:, half].mean(axis=1, keepdims=True)
+        slopes = y @ x_c / (x_c**2).sum()
+        assert np.min(np.abs(slopes - 1e-3)) > 1e-6  # no slope at the threshold
+        expected = np.mean(slopes > 1e-3)
+        assert 0.0 < expected < 1.0
+        assert classify_queue_stability(traces, slots) == expected
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from spatq.analytics import max_stable_rate
-from spatq.traffic import ArrivalRateDistribution, ArrivalStream, _slot_uniforms
+from spatq.traffic import ArrivalRateDistribution, ArrivalStream
 
 
 class TestDistributionBasics:
@@ -114,33 +114,41 @@ class TestArrivalStream:
         with pytest.raises(ValueError):
             ArrivalStream(rate=1.5, seed=1)
         with pytest.raises(ValueError):
-            ArrivalStream(rate=0.3, seed=1).next_arrival(-1)
+            ArrivalStream(rate=0.3, seed=1).arrivals(-1, 10)
+        with pytest.raises(ValueError):
+            ArrivalStream(rate=0.3, seed=1).arrivals(10, 9)
 
     def test_degenerate_rates(self):
         assert not any(ArrivalStream(0.0, seed=2).arrivals(0, 500))
         assert all(ArrivalStream(1.0, seed=2).arrivals(0, 500))
 
-    def test_pure_in_seed_and_slot(self):
-        stream = ArrivalStream(0.5, seed=123)
-        values = [stream.next_arrival(t) for t in range(64)]
-        again = [stream.next_arrival(t) for t in range(64)]
-        assert values == again
-
-    def test_batch_matches_single_slot(self):
-        stream = ArrivalStream(0.5, seed=99)
-        batch = stream.arrivals(17, 400)
-        singles = np.array([stream.next_arrival(t) for t in range(17, 400)])
-        assert np.array_equal(batch, singles)
-
     def test_batch_windows_consistent(self):
-        assert np.array_equal(
-            _slot_uniforms(7, 0, 300)[120:], _slot_uniforms(7, 120, 300)
-        )
+        # every window is a slice of the stream's one sequence of arrivals
+        stream = ArrivalStream(0.3, seed=7)
+        full = stream.arrivals(0, 5_000)
+        for start, stop in [(0, 0), (0, 1), (120, 300), (299, 300), (0, 4_999), (4_000, 5_000)]:
+            window = stream.arrivals(start, stop)
+            assert window.dtype == bool
+            assert np.array_equal(window, full[start:stop])
+        assert np.array_equal(ArrivalStream(0.3, seed=7).arrivals(0, 5_000), full)
 
     def test_empirical_rate(self):
         arrivals = ArrivalStream(0.3, seed=8).arrivals(0, 1_000_000)
         sigma = math.sqrt(0.3 * 0.7 / 1_000_000)
         assert arrivals.mean() == pytest.approx(0.3, abs=3 * sigma)
+
+    @pytest.mark.parametrize("rate", [0.005, 0.3, 0.9])
+    def test_count_and_geometric_gaps(self, rate):
+        n_slots = int(20_000 / rate)
+        slots = np.flatnonzero(ArrivalStream(rate, seed=21).arrivals(0, n_slots))
+        assert abs(len(slots) - rate * n_slots) <= 4.0 * math.sqrt(n_slots * rate * (1 - rate))
+        # the first slot + 1 and every later gap are i.i.d. geometric(rate);
+        # chi-square over bins of about equal mass, the last one open-ended
+        gaps = np.diff(slots, prepend=-1)
+        edges = np.unique(stats.geom.ppf(np.linspace(0.0, 1.0, 21)[1:-1], rate))
+        observed = np.bincount(np.searchsorted(edges, gaps), minlength=len(edges) + 1)
+        cdf = stats.geom.cdf(np.concatenate(([0.0], edges, [np.inf])), rate)
+        assert stats.chisquare(observed, np.diff(cdf) * len(gaps)).pvalue > 1e-3
 
     def test_different_seeds_differ(self):
         a = ArrivalStream(0.5, seed=1).arrivals(0, 256)
