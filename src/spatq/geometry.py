@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 TOROIDAL = "toroidal"
 EUCLIDEAN = "euclidean"
@@ -279,22 +279,99 @@ def associate(users: PointPattern, bss: PointPattern, mode: str = PER_USER) -> A
     return AssociationMap.from_serving(serving, n_bs=len(bss))
 
 
+def _in_cell(targets: np.ndarray, bss: np.ndarray, station: int, window: Window) -> np.ndarray:
+    """Mask of the `targets` rows whose nearest station is `station`.
+
+    Equals `_nearest_index(targets, bss, window) == station`, ties to the
+    lowest index included.  A target nearer to any of the station's eight
+    nearest neighbours than to the station cannot be in its cell; the few
+    rows that pass that exact filter are settled over all stations.
+    """
+    to_station = window.distance_sq(bss[station], bss)[0]
+    # column 0 is the station; the nine nearest may list it again
+    near = np.append(station, np.argpartition(to_station, min(8, len(bss) - 1))[:9])
+    dist = window.distance_sq(targets, bss[near])
+    cand = np.flatnonzero(dist[:, 0] <= dist.min(axis=1))
+    mask = np.zeros(len(targets), dtype=bool)
+    mask[cand] = _argmin_distance(targets[cand], bss, window) == station
+    return mask
+
+
+def _voronoi_areas(points: np.ndarray, window: Window) -> np.ndarray:
+    """Exact area of each point's Voronoi cell in the window, by Qhull.
+
+    The points are tiled with images that leave each point's cell in the
+    window unchanged: translates by one window under `TOROIDAL`, and under
+    `EUCLIDEAN` mirror images across the edges, two windows out.  Mirroring
+    makes a point's cell its cell clipped to the window, and the second
+    window closes the cell of a point on an edge, which is its own mirror:
+    that cell spans the point's 2^k mirrored windows for k edges, so its area
+    is divided by 2^k.  Duplicate images are dropped before Qhull, originals
+    first, so a repeated point gets area 0 and the lowest index owns the
+    cell, as in `associate`.  Each cell's area is the sum of the triangles
+    its ridges span with its point.
+    """
+    n = len(points)
+    span = np.array([window.width, window.height])
+    if window.metric == TOROIDAL:
+        base = window.wrap(points)
+        shifts = np.array([0.0, -1.0, 1.0])[:, None] * span
+        axes = [base[:, d] + shifts[:, d, None] for d in (0, 1)]
+    else:
+        base = points
+        axes = [
+            np.stack((c, -c, 2 * s - c, c - 2 * s, c + 2 * s))
+            for c, s in zip(base.T, span)
+        ]
+    # every (x image, y image) pair per point; the untouched originals come first
+    tiled = np.stack(np.broadcast_arrays(axes[0][:, None], axes[1][None]), axis=-1)
+    tiled = tiled.reshape(-1, 2)
+    _, first = np.unique(tiled, axis=0, return_index=True)
+    kept = np.sort(first)
+    originals = kept[kept < n]
+    vor = Voronoi(tiled[kept])
+    own = (vor.ridge_points < len(originals)).any(axis=1)
+    owners = vor.ridge_points[own]
+    ends = np.asarray(vor.ridge_vertices)[own]
+    if np.any(ends < 0):  # the images bound every original's cell
+        raise RuntimeError("an original's Voronoi cell came out unbounded")
+    corners = vor.vertices[ends]
+    areas = np.zeros(len(kept))
+    for side in (0, 1):
+        site = vor.points[owners[:, side]]
+        edge_a, edge_b = corners[:, 0] - site, corners[:, 1] - site
+        cross = edge_a[:, 0] * edge_b[:, 1] - edge_a[:, 1] * edge_b[:, 0]
+        areas += np.bincount(owners[:, side], weights=0.5 * np.abs(cross), minlength=len(kept))
+    out = np.zeros(n)
+    out[originals] = areas[: len(originals)]
+    if window.metric != TOROIDAL:
+        on_edges = ((base == 0) | (base == span)).sum(axis=1)
+        out /= 2.0**on_edges
+    return out
+
+
 def estimate_cell_areas(
     bss: PointPattern, window: Window, probes: int, seed: int
 ) -> np.ndarray:
-    """Monte Carlo Voronoi cell areas via uniform probe counting.
+    """Voronoi cell areas as `probes` uniform probe points would count them.
 
-    The probe counts partition `probes` exactly, so the estimates sum to the
-    window area; per-cell standard error scales like area/sqrt(probes).
+    The exact areas come from Qhull (`_voronoi_areas`).  Counting which cell
+    each of `probes` uniform points falls in gives multinomial counts with
+    cell probabilities area / window area, so one multinomial draw on the
+    exact areas has the probe count's law at a cost that grows with the
+    cells, not the probes.  The counts partition `probes`, so the estimates
+    sum to the window area; per-cell standard error scales like
+    area/sqrt(probes).
     """
     if len(bss) == 0:
         raise ValueError("cannot estimate cell areas without stations")
+    if window != bss.window:
+        raise ValueError("window must be the stations' window")
     if probes < 10_000:
         raise ValueError("probes must be at least 10000 for a usable estimate")
     rng = np.random.default_rng(seed)
-    pts = rng.random((probes, 2)) * [window.width, window.height]
-    _, idx = _station_tree(bss.points, window).query(pts)
-    counts = np.bincount(idx, minlength=len(bss))
+    areas = _voronoi_areas(bss.points, window)
+    counts = rng.multinomial(probes, areas / window.area)
     return counts * (window.area / probes)
 
 

@@ -15,12 +15,12 @@ import numpy as np
 
 from .analytics import DelayResult, NetworkParameters
 from .geometry import (
-    PER_CLUSTER,
     PER_USER,
     TOROIDAL,
     AssociationMap,
     PointPattern,
     Window,
+    _in_cell,
     associate,
     sample_pcp,
     sample_ppp,
@@ -197,24 +197,24 @@ def _thinned_interference(
     return np.bincount(owner, weights=pathloss, minlength=n)
 
 
-def _queue_departure_slots(
-    arrival_slots: np.ndarray, success_slots: np.ndarray, horizon: int
+def _queue_departures(
+    arrival_slots: np.ndarray, service_slots: np.ndarray, horizon: int
 ) -> np.ndarray:
-    """Departure slot per packet for a FIFO head-retry queue.
+    """Departure slot per packet for a FIFO queue, `horizon` if not served.
 
-    Packet i departs at the first service-success slot that is >= its arrival
-    and strictly later than the previous departure; a packet still queued at
-    the end of the horizon reads `horizon`.
+    Packet i reaches the head at slot max(a_i, d_{i-1} + 1) and departs in
+    the last of its G_i = `service_slots[i]` slots there.  With e_i = d_i + 1
+    and C_i = G_1 + ... + G_i, e_i = max(a_i, e_{i-1}) + G_i unrolls to
+    e_i - C_i = max over j <= i of (a_j - C_j + G_j).
     """
-    m = len(arrival_slots)
+    ends = np.cumsum(service_slots)
     # updated in place to keep packet-sized temporaries few
-    ranks = np.searchsorted(success_slots, arrival_slots, side="left") - np.arange(m)
-    np.maximum.accumulate(ranks, out=ranks)
-    ranks += np.arange(m)
-    served = ranks < len(success_slots)
-    departed = np.full(m, horizon)
-    departed[served] = success_slots[ranks[served]]
-    return departed
+    departed = arrival_slots - ends
+    departed += service_slots
+    np.maximum.accumulate(departed, out=departed)
+    departed += ends
+    departed -= 1
+    return np.minimum(departed, horizon, out=departed)
 
 
 def _queue_trace(
@@ -232,18 +232,6 @@ def _queue_trace(
     return grid, lengths
 
 
-def _queue_reference_loop(arrivals: np.ndarray, service_ok: np.ndarray) -> np.ndarray:
-    """Slot-by-slot reference implementation of the same queue dynamics."""
-    buffer: list[int] = []
-    delays = []
-    for t in range(len(arrivals)):
-        if arrivals[t]:
-            buffer.append(t)
-        if buffer and service_ok[t]:
-            delays.append(t - buffer.pop(0) + 1)
-    return np.asarray(delays)
-
-
 def run_delay_oracle(
     n_users: float,
     xi0: float,
@@ -258,6 +246,11 @@ def run_delay_oracle(
     cell occupancy the service rate was derived from and bounds it by 1/n.
     A queue whose length drifts upward is reported as unstable instead of
     returning a divergent average.
+
+    The slots a head packet waits for its success are geometric(mu) and
+    independent of the past, as the i.i.d. success slots they stand for
+    are, so one geometric draw per packet (`_queue_departures`) has the
+    law of a success draw per slot, at a cost that grows with the packets.
     """
     if not (0.0 < mu <= 1.0):
         raise ValueError(f"service probability must lie in (0, 1], got {mu!r}")
@@ -269,10 +262,11 @@ def run_delay_oracle(
         raise ValueError("delay oracle needs a horizon of at least 1e6 slots")
     rng = np.random.default_rng(seed)
     arrival_slots = _bernoulli_slots(rng, horizon, xi0)
-    success_slots = _bernoulli_slots(rng, horizon, mu)
     if len(arrival_slots) == 0:
         raise ValueError("no packets arrived within the horizon; raise xi0 or horizon")
-    departed = _queue_departure_slots(arrival_slots, success_slots, horizon)
+    departed = _queue_departures(
+        arrival_slots, rng.geometric(mu, len(arrival_slots)), horizon
+    )
 
     grid, lengths = _queue_trace(arrival_slots, departed, [0], [len(arrival_slots)], horizon)
     if _drift_fraction(lengths, grid, _SLOPE_EPS) > 0:
@@ -512,13 +506,14 @@ def estimate_total_arrival_variance(
     chosen station's cell, and sums raw (unclamped) rate draws of the users
     it serves.  Clustered users follow their parent's nearest station, which
     matches how the closed-form variance counts whole clusters per cell.
+    Only the chosen cell is resolved (`geometry._in_cell`); its members are
+    the ones `associate` would give it, so the totals are the same.
     Picking among the finite station count inflates the estimate by roughly
     1/mean_bss, so raise `mean_bss` when chasing percent-level agreement.
     """
     if replications < 1_000:
         raise ValueError("need at least 1000 replications")
     clustered = params.pcp is not None
-    association = PER_CLUSTER if clustered else PER_USER
     side = math.sqrt(mean_bss / params.lambda_b)
     window = Window(side, side, TOROIDAL)
     if clustered and 2.0 * params.pcp.r_c >= side:
@@ -540,8 +535,11 @@ def estimate_total_arrival_variance(
         if len(users) == 0:
             totals[r] = 0.0
             continue
-        serving = associate(users, bss, association).serving_bs
-        members = np.flatnonzero(serving == target)
+        if clustered:
+            in_cell = _in_cell(users.parents, bss.points, target, window)
+            members = np.flatnonzero(in_cell[users.cluster_of])
+        else:
+            members = np.flatnonzero(_in_cell(users.points, bss.points, target, window))
         draws = np.atleast_1d(dist.sample(rng, len(users)))
         totals[r] = float(draws[members].sum())
     mean = float(totals.mean())

@@ -14,7 +14,10 @@ from spatq.geometry import (
     PcpParams,
     PointPattern,
     Window,
+    _in_cell,
     _nearest_index,
+    _station_tree,
+    _voronoi_areas,
     associate,
     cell_area_density,
     estimate_cell_areas,
@@ -311,6 +314,14 @@ class TestEstimateCellAreas:
         with pytest.raises(ValueError):
             estimate_cell_areas(PointPattern(np.empty((0, 2)), w), w, 10_000, 1)
 
+    @pytest.mark.parametrize(
+        "other", [Window(10.0, 10.0, EUCLIDEAN), Window(20.0, 10.0), Window(10.0, 12.0)]
+    )
+    def test_window_must_be_the_stations(self, other):
+        bss = sample_ppp(0.5, Window(10.0, 10.0), seed=1)
+        with pytest.raises(ValueError):
+            estimate_cell_areas(bss, other, probes=10_000, seed=1)
+
     def test_areas_partition_window(self):
         w = Window(12.0, 12.0)
         bss = sample_ppp(1.0, w, seed=9)
@@ -334,6 +345,122 @@ class TestEstimateCellAreas:
         assert len(areas) > 25_000
         assert areas.mean() * lam == pytest.approx(1.0, rel=0.01)
         assert np.mean(areas**2) * lam**2 == pytest.approx(1.2857, rel=0.03)
+
+
+def probe_areas(bss, window, probes, seed):
+    """Cell areas by counting uniform probes, each given to its nearest station."""
+    pts = np.random.default_rng(seed).random((probes, 2)) * [window.width, window.height]
+    _, idx = _station_tree(bss, window).query(pts)
+    return np.bincount(idx, minlength=len(bss)) * (window.area / probes)
+
+
+class TestVoronoiAreas:
+    """Exact cell areas on degenerate station sets, with known answers."""
+
+    CASES = {
+        "one station": ([[5.0, 5.0]], [100.0]),
+        "two stations": ([[2.0, 5.0], [6.0, 5.0]], {TOROIDAL: [50.0, 50.0], EUCLIDEAN: [40.0, 60.0]}),
+        "collinear": ([[2.0, 5.0], [5.0, 5.0], [8.0, 5.0]], [35.0, 30.0, 35.0]),
+        "2x2 lattice": ([[2.5, 2.5], [7.5, 2.5], [2.5, 7.5], [7.5, 7.5]], [25.0] * 4),
+        "duplicates": ([[3.0, 3.0], [3.0, 3.0], [7.0, 7.0]], [50.0, 0.0, 50.0]),
+        # on the torus x == width is x == 0, so the later station is a duplicate
+        "far edge": ([[10.0, 5.0], [0.0, 5.0]], {TOROIDAL: [100.0, 0.0], EUCLIDEAN: [50.0, 50.0]}),
+        "far edge alone": ([[10.0, 4.0]], [100.0]),
+        "far corner": ([[10.0, 10.0], [0.0, 0.0]], {TOROIDAL: [100.0, 0.0], EUCLIDEAN: [50.0, 50.0]}),
+    }
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_known_areas_sum_to_window(self, metric, case):
+        w = Window(10.0, 10.0, metric)
+        points, expected = self.CASES[case]
+        if isinstance(expected, dict):
+            expected = expected[metric]
+        areas = _voronoi_areas(np.array(points), w)
+        assert areas.sum() == pytest.approx(w.area, rel=1e-12)
+        assert areas == pytest.approx(expected, rel=1e-12, abs=1e-12 * w.area)
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    def test_edge_stations_match_nearest_station_grid(self, metric):
+        # stations on every edge and corner; a fine grid of targets assigned
+        # by nearest station approximates each area to O(grid step)
+        w = Window(10.0, 8.0, metric)
+        bss = np.array(
+            [[0.0, 3.0], [10.0, 6.5], [4.0, 0.0], [7.0, 8.0], [10.0, 0.0], [5.0, 4.0], [2.0, 6.0]]
+        )
+        areas = _voronoi_areas(bss, w)
+        assert areas.sum() == pytest.approx(w.area, rel=1e-12)
+        step = 0.01
+        grid = np.stack(np.meshgrid(np.arange(step / 2, 10, step), np.arange(step / 2, 8, step)), -1)
+        owner = _nearest_index(grid.reshape(-1, 2), bss, w)
+        counted = np.bincount(owner, minlength=len(bss)) * step**2
+        assert np.allclose(counted, areas, atol=0.05)
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    def test_matches_probe_counting(self, metric):
+        # 1e6 probes: each count is binomial, so within 5 sd of probes * p
+        w = Window(20.0, 15.0, metric)
+        bss = sample_ppp(1.0, w, seed=11).points
+        exact = _voronoi_areas(bss, w)
+        probes = 1_000_000
+        counted = probe_areas(bss, w, probes, seed=12)
+        p = exact / w.area
+        sd = np.sqrt(probes * p * (1.0 - p)) * (w.area / probes)
+        assert np.all(np.abs(counted - exact) <= 5.0 * sd)
+
+    def test_estimate_is_a_multinomial_draw_on_exact_areas(self):
+        w = Window(12.0, 12.0)
+        bss = sample_ppp(1.0, w, seed=9)
+        counts = np.random.default_rng(4).multinomial(50_000, _voronoi_areas(bss.points, w) / w.area)
+        expected = counts * (w.area / 50_000)
+        assert np.array_equal(estimate_cell_areas(bss, w, 50_000, seed=4), expected)
+
+
+class TestInCell:
+    """One station's members against `associate` for every station."""
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_uniform_users(self, metric, seed):
+        w = Window(12.0, 9.0, metric)
+        ss = SeedSequence(seed).spawn(2)
+        users = sample_ppp(4.0, w, ss[0])
+        bss = sample_ppp(0.5, w, ss[1])
+        serving = associate(users, bss).serving_bs
+        for station in range(len(bss)):
+            got = _in_cell(users.points, bss.points, station, w)
+            assert np.array_equal(got, serving == station)
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_clustered_users_per_cluster(self, metric, seed):
+        w = Window(15.0, 15.0, metric)
+        ss = SeedSequence(seed).spawn(2)
+        users = sample_pcp(PcpParams(0.3, 2.0, 1.0), w, ss[0])
+        bss = sample_ppp(0.3, w, ss[1])
+        serving = associate(users, bss, PER_CLUSTER).serving_bs
+        for station in range(len(bss)):
+            in_cell = _in_cell(users.parents, bss.points, station, w)
+            assert np.array_equal(in_cell[users.cluster_of], serving == station)
+
+    @pytest.mark.parametrize("metric", [TOROIDAL, EUCLIDEAN])
+    def test_ties_on_bisectors_and_corners(self, metric):
+        w = Window(6.0, 6.0, metric)
+        grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+        bss = grid[np.random.default_rng(3).permutation(len(grid))]
+        targets = np.concatenate((grid + [0.5, 0.0], grid + [0.0, 0.5], grid + 0.5))
+        targets = targets[w.contains(targets)]
+        nearest = brute_nearest(targets, bss, w)
+        for station in range(len(bss)):
+            assert np.array_equal(_in_cell(targets, bss, station, w), nearest == station)
+
+    def test_few_stations(self):
+        w = Window(10.0, 10.0)
+        users = sample_ppp(2.0, w, seed=4).points
+        bss = np.array([[2.0, 2.0], [2.0, 2.0], [8.0, 5.0]])
+        nearest = brute_nearest(users, bss, w)
+        for station in range(3):
+            assert np.array_equal(_in_cell(users, bss, station, w), nearest == station)
 
 
 class TestDensities:

@@ -7,18 +7,21 @@ import pytest
 from spatq import simulator
 from spatq.analytics import NetworkParameters, solve_busy_probability
 from spatq.geometry import (
+    PER_CLUSTER,
+    PER_USER,
     AssociationMap,
     PcpParams,
     PointPattern,
     Window,
     associate,
     estimate_cell_areas,
+    sample_pcp,
+    sample_ppp,
 )
 from spatq.harness import write_rows
 from spatq.simulator import (
     MetricsReport,
-    _queue_departure_slots,
-    _queue_reference_loop,
+    _queue_departures,
     classify_queue_stability,
     estimate_total_arrival_variance,
     run_coupled,
@@ -74,33 +77,75 @@ def per_slot_serve(
     return busy_bs_slots
 
 
+def _queue_reference_loop(arrivals: np.ndarray, service_ok: np.ndarray) -> np.ndarray:
+    """Slot-by-slot FIFO queue: a packet at the head departs in a slot with service_ok."""
+    buffer: list[int] = []
+    delays = []
+    for t in range(len(arrivals)):
+        if arrivals[t]:
+            buffer.append(t)
+        if buffer and service_ok[t]:
+            delays.append(t - buffer.pop(0) + 1)
+    return np.asarray(delays)
+
+
+def geometric_service_loop(arrival_slots, service_slots, horizon):
+    """Slot loop: the head packet i, from slot max(a_i, d_{i-1} + 1), is in
+    service for service_slots[i] slots and departs in the last of them."""
+    departed = np.full(len(arrival_slots), horizon)
+    head, left = 0, 0  # packet at the head, its service slots still to run
+    for t in range(horizon):
+        if not left and head < len(arrival_slots) and arrival_slots[head] <= t:
+            left = service_slots[head]
+        if left:
+            left -= 1
+            if not left:
+                departed[head] = t
+                head += 1
+    return departed
+
+
 class TestQueueRecursion:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_slot_loop(self, seed):
         rng = np.random.default_rng(seed)
-        xi0, mu = rng.uniform(0.01, 0.3), rng.uniform(0.3, 0.9)
-        arrivals = rng.random(50_000) < xi0
-        service = rng.random(50_000) < mu
-        ref_delays = _queue_reference_loop(arrivals, service)
-        arrival_slots = np.flatnonzero(arrivals)
-        success_slots = np.flatnonzero(service)
-        departed = _queue_departure_slots(arrival_slots, success_slots, 50_000)
-        served = departed < 50_000
-        delays = departed[served] - arrival_slots[served] + 1
-        assert np.array_equal(delays[: len(ref_delays)], ref_delays)
-        # the loop only counts completed departures; the recursion agrees there
-        assert len(delays) == len(ref_delays)
-        # packets still queued at the horizon are the newest ones
-        assert np.all(served[: len(ref_delays)]) and not np.any(served[len(ref_delays):])
+        xi0, mu = rng.uniform(0.01, 0.3), rng.uniform(0.05, 0.9)
+        arrival_slots = np.flatnonzero(rng.random(50_000) < xi0)
+        service = rng.geometric(mu, len(arrival_slots))
+        departed = _queue_departures(arrival_slots, service, 50_000)
+        assert np.array_equal(departed, geometric_service_loop(arrival_slots, service, 50_000))
 
     def test_departures_keep_arrival_order(self):
         rng = np.random.default_rng(9)
         arrival_slots = np.flatnonzero(rng.random(20_000) < 0.1)
-        success_slots = np.flatnonzero(rng.random(20_000) < 0.2)
-        departed = _queue_departure_slots(arrival_slots, success_slots, 20_000)
+        departed = _queue_departures(arrival_slots, rng.geometric(0.2, len(arrival_slots)), 20_000)
         served = departed < 20_000
         assert np.all(np.diff(departed[served]) > 0)
         assert np.all(departed >= arrival_slots)
+        # the packets unserved at the horizon are the newest ones
+        assert served[0] and not served[-1]
+        assert np.all(np.diff(served.astype(int)) <= 0)
+
+    def test_mean_delay_matches_bernoulli_service_loop(self):
+        # the same queue law two ways: geometric service per packet against a
+        # success draw per slot; each side's mean over 40 independent runs
+        xi0, mu, horizon, runs = 0.1, 0.15, 50_000, 40
+        rng = np.random.default_rng(5)
+        ours, loops = [], []
+        for _ in range(runs):
+            arrivals = rng.random(horizon) < xi0
+            loops.append(_queue_reference_loop(arrivals, rng.random(horizon) < mu).mean())
+            arrival_slots = np.flatnonzero(rng.random(horizon) < xi0)
+            departed = _queue_departures(
+                arrival_slots, rng.geometric(mu, len(arrival_slots)), horizon
+            )
+            served = departed < horizon
+            ours.append((departed[served] - arrival_slots[served] + 1).mean())
+        diff = np.mean(ours) - np.mean(loops)
+        stderr = math.sqrt((np.var(ours, ddof=1) + np.var(loops, ddof=1)) / runs)
+        assert abs(diff) <= 4.0 * stderr
+        # both sit near the M/M/1-like closed form (1 - xi0) / (mu - xi0)
+        assert np.mean(ours) == pytest.approx((1 - xi0) / (mu - xi0), rel=0.1)
 
 
 class TestBernoulliSlots:
@@ -431,6 +476,30 @@ class TestClassifyQueueStability:
         assert fractions[1] > 0.05
 
 
+def associate_arrival_totals(params, dist, replications, seed, mean_bss):
+    """Per-replication cell totals with every user associated: the reference."""
+    clustered = params.pcp is not None
+    side = math.sqrt(mean_bss / params.lambda_b)
+    window = Window(side, side)
+    totals = np.empty(replications)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        bs_ss, user_ss, aux_ss = child.spawn(3)
+        bss = sample_ppp(params.lambda_b, window, bs_ss)
+        if clustered:
+            users = sample_pcp(params.pcp, window, user_ss)
+        else:
+            users = sample_ppp(params.lambda_u, window, user_ss)
+        rng = np.random.default_rng(aux_ss)
+        target = int(rng.integers(len(bss)))
+        if len(users) == 0:
+            totals[r] = 0.0
+            continue
+        serving = associate(users, bss, PER_CLUSTER if clustered else PER_USER).serving_bs
+        draws = np.atleast_1d(dist.sample(rng, len(users)))
+        totals[r] = float(draws[np.flatnonzero(serving == target)].sum())
+    return totals
+
+
 class TestArrivalVarianceEstimator:
     def test_replication_floor(self):
         dist = ArrivalRateDistribution.deterministic(1.0)
@@ -457,6 +526,18 @@ class TestArrivalVarianceEstimator:
         _, var_ppp = estimate_total_arrival_variance(PARAMS, dist, 2000, seed=3, mean_bss=49.0)
         _, var_pcp = estimate_total_arrival_variance(clustered, dist, 2000, seed=4, mean_bss=49.0)
         assert var_pcp > 1.5 * var_ppp
+
+    @pytest.mark.parametrize("model", ["ppp", "pcp"])
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_totals_bit_identical_to_full_association(self, model, seed):
+        dist = ArrivalRateDistribution.exponential(0.5)
+        pcp = PcpParams(lambda_p=1.0, lambda_c=5 / math.pi, r_c=1.0)
+        params = PARAMS if model == "ppp" else NetworkParameters(1.0, 5.0, 10.0, 4.0, pcp=pcp)
+        _, _, totals = estimate_total_arrival_variance(
+            params, dist, 1000, seed=seed, mean_bss=25.0, return_samples=True
+        )
+        reference = associate_arrival_totals(params, dist, 1000, seed, mean_bss=25.0)
+        assert totals.tobytes() == reference.tobytes()
 
 
 class TestMetricsReport:
