@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import harness
@@ -52,8 +51,6 @@ def _collect_overrides(args) -> dict[str, str]:
         overrides["network.lambda_u"] = str(args.lambda_u)
     if args.alpha is not None:
         overrides["network.alpha"] = str(args.alpha)
-    if args.outdir is not None:
-        overrides["output.directory"] = args.outdir
     return overrides
 
 
@@ -93,8 +90,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    outdir = args.outdir or os.environ.get(harness.OUTPUT_DIR_ENV, ".")
-    paths = harness.reproduce(args.figure, outdir, simulate=args.simulate)
+    paths = harness.reproduce(args.figure, args.outdir, simulate=args.simulate)
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -141,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="write canned figure sweep data")
     rep.add_argument("figure", choices=sorted(harness.FIGURES))
-    rep.add_argument("--outdir")
+    rep.add_argument("--outdir", help="output directory (default $SPATQ_OUTPUT_DIR)")
     rep.add_argument(
         "--simulate",
         action="store_true",

@@ -11,7 +11,7 @@ import configparser
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,18 +23,6 @@ from .geometry import PcpParams
 from .traffic import DETERMINISTIC, ArrivalRateDistribution
 
 ENGINE_ANALYTIC = "analytic"
-ENGINE_COUPLED = "coupled"
-ENGINE_STATIC_SIR = "static-sir"
-ENGINE_ARRIVAL_VARIANCE = "arrival-variance"
-ENGINE_DELAY_ORACLE = "delay-oracle"
-
-_ENGINES = (
-    ENGINE_ANALYTIC,
-    ENGINE_COUPLED,
-    ENGINE_STATIC_SIR,
-    ENGINE_ARRIVAL_VARIANCE,
-    ENGINE_DELAY_ORACLE,
-)
 
 _SWEEP_VARS = (
     "lambda_u",
@@ -51,20 +39,6 @@ _SWEEP_VARS = (
 OUTPUT_DIR_ENV = "SPATQ_OUTPUT_DIR"
 CSV_COLUMNS = ("sweep_var", "value", "metric", "estimate", "stderr", "source")
 UNSTABLE_TOKEN = "unstable"
-
-ANALYTIC_METRICS = (
-    "busy_prob",
-    "success_prob",
-    "achievable_rate",
-    "service_rate",
-    "delay",
-    "unstable_prob",
-    "arrival_mean",
-    "arrival_variance",
-    "static_sir_success",
-    "pmf_ppp",
-    "pmf_pcp",
-)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -105,7 +79,7 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.engine not in _ENGINES:
+        if self.engine != ENGINE_ANALYTIC and self.engine not in _SIMULATIONS:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.model not in (PPP, PCP):
             raise ValueError(f"unknown population model {self.model!r}")
@@ -117,11 +91,17 @@ class ExperimentConfig:
             raise ValueError("sweep grid must not be empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        if self.sweep_var == "k" and any(v < 0 or not float(v).is_integer() for v in self.grid):
+            raise ValueError("k sweep values must be nonnegative integers")
         if self.engine == ENGINE_ANALYTIC and not self.metrics:
             raise ValueError("analytic sweeps must list at least one metric")
         unknown = set(self.metrics) - set(ANALYTIC_METRICS)
-        if self.engine == ENGINE_ANALYTIC and unknown:
+        if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
+        if self.model == PCP and self.pcp_r_c is None:
+            raise ValueError("pcp model requires pcp_r_c")
+        if self.model == PCP and self.pcp_lambda_c is None and self.pcp_lambda_c_factor is None:
+            raise ValueError("pcp model needs pcp_lambda_c or pcp_lambda_c_factor")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -213,87 +193,51 @@ def read_rows(path) -> list[SweepRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class _Point:
-    """Config values resolved at one grid point."""
+def _at(config: ExperimentConfig, value: float) -> ExperimentConfig:
+    """The config at one grid value: the swept field set to `value`.
 
-    lambda_u: float
-    theta: float
-    alpha: float
-    n_users: float
-    xi0: float | None
-    cell_area: float
-    q: float | None
-    k: int | None
-    pcp: PcpParams | None
-    dist: ArrivalRateDistribution
-
-
-def _resolve_point(config: ExperimentConfig, value: float) -> _Point:
-    fields = {
-        "lambda_u": config.lambda_u,
-        "theta": config.theta,
-        "alpha": config.alpha,
-        "n_users": config.n_users,
-        "xi0": config.xi0,
-        "cell_area": config.cell_area,
-        "q": config.q,
-    }
-    k = None
+    `theta_db` sets `theta`, and an `xi0` sweep also sets a deterministic
+    rate distribution.  A `k` sweep changes nothing, for `k` is the argument
+    of a PMF, read from the grid value.  A deterministic distribution
+    supplies `xi0` when the config leaves it unset.
+    """
+    changes = {}
     if config.sweep_var == "theta_db":
-        fields["theta"] = 10.0 ** (value / 10.0)
-    elif config.sweep_var == "k":
-        if value < 0 or value != int(value):
-            raise ValueError("k sweep values must be nonnegative integers")
-        k = int(value)
-    else:
-        fields[config.sweep_var] = value
+        changes["theta"] = 10.0 ** (value / 10.0)
+    elif config.sweep_var != "k":
+        changes[config.sweep_var] = value
+    if config.dist.kind == DETERMINISTIC:
+        if config.sweep_var == "xi0":
+            changes["dist"] = ArrivalRateDistribution.deterministic(value)
+        elif config.xi0 is None:
+            changes["xi0"] = config.dist.param
+    return replace(config, **changes)
 
-    dist = config.dist
-    if config.sweep_var == "xi0" and dist.kind == DETERMINISTIC:
-        dist = ArrivalRateDistribution.deterministic(fields["xi0"])
-    if fields["xi0"] is None and dist.kind == DETERMINISTIC:
-        fields["xi0"] = dist.param
 
+def _network(config: ExperimentConfig) -> NetworkParameters:
+    """Network parameters of a config, its PCP intensities resolved.
+
+    Each PCP intensity is given outright or as a factor of `lambda_u`; a
+    config that gives neither for `lambda_p` closes the product, so the
+    implied user intensity is `lambda_u`.
+    """
     pcp = None
     if config.model == PCP:
-        if config.pcp_r_c is None:
-            raise ValueError("pcp model requires pcp_r_c")
         lam_c = config.pcp_lambda_c
         if lam_c is None:
-            if config.pcp_lambda_c_factor is None:
-                raise ValueError("pcp model needs pcp_lambda_c or pcp_lambda_c_factor")
-            lam_c = config.pcp_lambda_c_factor * fields["lambda_u"]
+            lam_c = config.pcp_lambda_c_factor * config.lambda_u
         lam_p = config.pcp_lambda_p
-        if lam_p is None:
-            if config.pcp_lambda_p_factor is None:
-                # close the product so the implied user intensity matches
-                lam_p = fields["lambda_u"] / (math.pi * config.pcp_r_c**2 * lam_c)
-            else:
-                lam_p = config.pcp_lambda_p_factor * fields["lambda_u"]
+        if lam_p is None and config.pcp_lambda_p_factor is not None:
+            lam_p = config.pcp_lambda_p_factor * config.lambda_u
+        elif lam_p is None:
+            lam_p = config.lambda_u / (math.pi * config.pcp_r_c**2 * lam_c)
         pcp = PcpParams(lambda_p=lam_p, lambda_c=lam_c, r_c=config.pcp_r_c)
-
-    return _Point(
-        lambda_u=fields["lambda_u"],
-        theta=fields["theta"],
-        alpha=fields["alpha"],
-        n_users=fields["n_users"],
-        xi0=fields["xi0"],
-        cell_area=fields["cell_area"],
-        q=fields["q"],
-        k=k,
-        pcp=pcp,
-        dist=dist,
-    )
-
-
-def _network_params(config: ExperimentConfig, point: _Point) -> NetworkParameters:
     return NetworkParameters(
         lambda_b=config.lambda_b,
-        lambda_u=point.lambda_u,
-        theta=point.theta,
-        alpha=point.alpha,
-        pcp=point.pcp if config.model == PCP else None,
+        lambda_u=config.lambda_u,
+        theta=config.theta,
+        alpha=config.alpha,
+        pcp=pcp,
     )
 
 
@@ -303,58 +247,55 @@ def _require(value, what: str):
     return value
 
 
-# per-cell metrics of (n_users, xi0, theta, alpha); each lambda looks its
+def _cell(config: ExperimentConfig) -> tuple[float, float, float, float]:
+    """(n_users, xi0, theta, alpha): the arguments of the per-cell formulas."""
+    return config.n_users, _require(config.xi0, "xi0"), config.theta, config.alpha
+
+
+def _k(config: ExperimentConfig, value: float) -> int:
+    if config.sweep_var != "k":
+        raise ValueError("metric requires a k sweep, which the config does not define")
+    return int(value)
+
+
+def _pmf_pcp(config: ExperimentConfig, value: float) -> float:
+    k = _k(config, value)
+    return float(analytics.user_count_pmf(PCP, _network(config), config.cell_area, k_max=k)[k])
+
+
+# metric -> estimate at (resolved config, grid value); each entry looks its
 # analytics function up when called, so a patched module attribute is seen
-_CELL_METRICS = {
-    "busy_prob": lambda *cell: analytics.solve_busy_probability(*cell),
-    "success_prob": lambda *cell: analytics.approx_success_probability(*cell),
-    "achievable_rate": lambda *cell: analytics.achievable_rate(*cell),
-    "service_rate": lambda *cell: analytics.service_rate(*cell),
-    "delay": lambda *cell: analytics.mean_delay(*cell).value,
+_METRICS = {
+    "busy_prob": lambda c, v: analytics.solve_busy_probability(*_cell(c)),
+    "success_prob": lambda c, v: analytics.approx_success_probability(*_cell(c)),
+    "achievable_rate": lambda c, v: analytics.achievable_rate(*_cell(c)),
+    "service_rate": lambda c, v: analytics.service_rate(*_cell(c)),
+    "delay": lambda c, v: analytics.mean_delay(*_cell(c)).value,
+    "unstable_prob": lambda c, v: analytics.unstable_probability(
+        c.dist, c.model, _network(c), c.cell_area
+    ),
+    "arrival_mean": lambda c, v: analytics.total_arrival_moments(
+        c.dist, _network(c), c.model
+    )[0],
+    "arrival_variance": lambda c, v: analytics.total_arrival_moments(
+        c.dist, _network(c), c.model
+    )[1],
+    "static_sir_success": lambda c, v: analytics.success_probability(
+        _require(c.q, "q"), c.theta, c.alpha
+    ),
+    "pmf_ppp": lambda c, v: analytics.pmf_users_ppp(_k(c, v), c.lambda_u, c.cell_area),
+    "pmf_pcp": _pmf_pcp,
 }
-
-
-def _analytic_value(metric: str, config: ExperimentConfig, point: _Point) -> float | None:
-    if metric in _CELL_METRICS:
-        return _CELL_METRICS[metric](
-            point.n_users, _require(point.xi0, "xi0"), point.theta, point.alpha
-        )
-    if metric == "unstable_prob":
-        return analytics.unstable_probability(
-            point.dist, config.model, _network_params(config, point), point.cell_area
-        )
-    if metric == "arrival_mean":
-        return analytics.total_arrival_moments(
-            point.dist, _network_params(config, point), config.model
-        )[0]
-    if metric == "arrival_variance":
-        return analytics.total_arrival_moments(
-            point.dist, _network_params(config, point), config.model
-        )[1]
-    if metric == "static_sir_success":
-        return analytics.success_probability(
-            _require(point.q, "q"), point.theta, point.alpha
-        )
-    if metric == "pmf_ppp":
-        return analytics.pmf_users_ppp(
-            _require(point.k, "a k sweep"), point.lambda_u, point.cell_area
-        )
-    if metric == "pmf_pcp":
-        k = _require(point.k, "a k sweep")
-        pmf = analytics.user_count_pmf(
-            PCP, _network_params(config, point), point.cell_area, k_max=k
-        )
-        return float(pmf[k])
-    raise ValueError(f"unknown analytic metric {metric!r}")
+ANALYTIC_METRICS = tuple(_METRICS)
 
 
 def run_analytic_sweep(config: ExperimentConfig, output_dir=None) -> Path:
     """Evaluate the configured closed-form metrics over the grid; write CSV."""
     rows = []
     for value in config.grid:
-        point = _resolve_point(config, value)
+        point = _at(config, value)
         for metric in config.metrics:
-            estimate = _analytic_value(metric, config, point)
+            estimate = _METRICS[metric](point, value)
             rows.append(
                 SweepRow(config.sweep_var, value, metric, estimate, 0.0, "analytic")
             )
@@ -362,83 +303,90 @@ def run_analytic_sweep(config: ExperimentConfig, output_dir=None) -> Path:
     return write_rows(out, rows)
 
 
-def _simulate_point(config: ExperimentConfig, value: float) -> list[SweepRow]:
-    point = _resolve_point(config, value)
-    rows: list[SweepRow] = []
-
-    def add(metric: str, estimate: float | None, stderr: float):
-        rows.append(
-            SweepRow(config.sweep_var, value, metric, estimate, stderr, "simulation")
-        )
-
-    if config.engine == ENGINE_COUPLED:
-        reports = [
-            simulator.run_coupled(
-                _network_params(config, point),
-                point.dist,
-                config.horizon,
-                config.warmup,
-                seed=config.seed + i,
-                mean_bss=config.mean_bss,
-            )
-            for i in range(config.replications)
-        ]
-        for metric, attr in (
-            ("busy_prob", "empirical_busy_prob"),
-            ("success_prob", "empirical_success_prob"),
-            ("delay", "per_user_mean_delay"),
-            ("unstable_fraction", "unstable_fraction"),
-        ):
-            vals = np.array([getattr(r, attr) for r in reports], dtype=float)
-            add(metric, float(np.mean(vals)), _stderr(vals))
-    elif config.engine == ENGINE_STATIC_SIR:
-        estimates = []
-        stderrs = []
-        for i in range(config.replications):
-            est, se = simulator.run_sir_static(
-                _network_params(config, point),
-                _require(point.q, "q"),
-                config.samples,
-                seed=config.seed + i,
-                mean_bss=config.mean_bss,
-            )
-            estimates.append(est)
-            stderrs.append(se)
-        est = np.array(estimates)
-        se = _stderr(est) if len(est) > 1 else stderrs[0]
-        add("static_sir_success", float(est.mean()), se)
-    elif config.engine == ENGINE_ARRIVAL_VARIANCE:
-        mean, variance, samples = simulator.estimate_total_arrival_variance(
-            _network_params(config, point),
-            point.dist,
-            config.replications,
-            seed=config.seed,
+def _coupled_rows(config: ExperimentConfig):
+    reports = [
+        simulator.run_coupled(
+            _network(config),
+            config.dist,
+            config.horizon,
+            config.warmup,
+            seed=config.seed + i,
             mean_bss=config.mean_bss,
-            return_samples=True,
         )
-        n = len(samples)
-        add("arrival_mean", mean, float(samples.std(ddof=1) / math.sqrt(n)))
-        centered = samples - samples.mean()
-        m4 = float(np.mean(centered**4))
-        var_of_var = max(m4 - (n - 3) / (n - 1) * variance**2, 0.0) / n
-        add("arrival_variance", variance, math.sqrt(var_of_var))
-    elif config.engine == ENGINE_DELAY_ORACLE:
-        xi0 = _require(point.xi0, "xi0")
-        mu = analytics.service_rate(point.n_users, xi0, point.theta, point.alpha)
-        values = [
-            simulator.run_delay_oracle(
-                point.n_users, xi0, mu, config.horizon, seed=config.seed + i
-            )
-            for i in range(config.replications)
-        ]
-        if any(v.unstable for v in values):
-            add("delay", None, 0.0)
-        else:
-            vals = np.array([v.value for v in values])
-            add("delay", float(vals.mean()), _stderr(vals))
+        for i in range(config.replications)
+    ]
+    for metric, attr in (
+        ("busy_prob", "empirical_busy_prob"),
+        ("success_prob", "empirical_success_prob"),
+        ("delay", "per_user_mean_delay"),
+        ("unstable_fraction", "unstable_fraction"),
+    ):
+        vals = np.array([getattr(r, attr) for r in reports], dtype=float)
+        yield metric, float(np.mean(vals)), _stderr(vals)
+
+
+def _static_sir_rows(config: ExperimentConfig):
+    results = [
+        simulator.run_sir_static(
+            _network(config),
+            _require(config.q, "q"),
+            config.samples,
+            seed=config.seed + i,
+            mean_bss=config.mean_bss,
+        )
+        for i in range(config.replications)
+    ]
+    est = np.array([estimate for estimate, _ in results])
+    se = _stderr(est) if len(est) > 1 else results[0][1]
+    yield "static_sir_success", float(est.mean()), se
+
+
+def _arrival_variance_rows(config: ExperimentConfig):
+    mean, variance, samples = simulator.estimate_total_arrival_variance(
+        _network(config),
+        config.dist,
+        config.replications,
+        seed=config.seed,
+        mean_bss=config.mean_bss,
+        return_samples=True,
+    )
+    n = len(samples)
+    yield "arrival_mean", mean, float(samples.std(ddof=1) / math.sqrt(n))
+    centered = samples - samples.mean()
+    m4 = float(np.mean(centered**4))
+    var_of_var = max(m4 - (n - 3) / (n - 1) * variance**2, 0.0) / n
+    yield "arrival_variance", variance, math.sqrt(var_of_var)
+
+
+def _delay_oracle_rows(config: ExperimentConfig):
+    n_users, xi0, theta, alpha = _cell(config)
+    mu = analytics.service_rate(n_users, xi0, theta, alpha)
+    values = [
+        simulator.run_delay_oracle(n_users, xi0, mu, config.horizon, seed=config.seed + i)
+        for i in range(config.replications)
+    ]
+    if any(v.unstable for v in values):
+        yield "delay", None, 0.0
     else:
-        raise ValueError(f"engine {config.engine!r} is not a simulation engine")
-    return rows
+        vals = np.array([v.value for v in values])
+        yield "delay", float(vals.mean()), _stderr(vals)
+
+
+# simulation engine -> (metric, estimate, stderr) rows at a resolved config;
+# with `analytic`, its keys are the engines a config may name
+_SIMULATIONS = {
+    "coupled": _coupled_rows,
+    "static-sir": _static_sir_rows,
+    "arrival-variance": _arrival_variance_rows,
+    "delay-oracle": _delay_oracle_rows,
+}
+
+
+def _simulate_point(config: ExperimentConfig, value: float) -> list[SweepRow]:
+    return [
+        SweepRow(config.sweep_var, value, metric, estimate, stderr, "simulation")
+        for metric, estimate, stderr in _SIMULATIONS[config.engine](_at(config, value))
+    ]
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -453,6 +401,8 @@ def run_simulation_sweep(config: ExperimentConfig, output_dir=None) -> Path:
     Replication i uses seed_i = seed + i, so output is deterministic and grid
     points may be dispatched to worker processes without changing results.
     """
+    if config.engine not in _SIMULATIONS:
+        raise ValueError(f"engine {config.engine!r} is not a simulation engine")
     if config.workers > 1 and len(config.grid) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(_simulate_point, [config] * len(config.grid), config.grid))
@@ -494,11 +444,16 @@ def compare(
     """Join two sweep CSVs row-by-row and check relative gaps against tolerances.
 
     Metrics without a tolerance entry are reported informationally.  Grids
-    must match exactly; mismatches raise with the offending rows listed.
+    must match exactly, and so must the sweep variable of each row pair;
+    mismatches raise with the offending rows or variables named.
     """
     analytic = {(r.value, r.metric): r for r in read_rows(analytic_csv)}
     simulated = {(r.value, r.metric): r for r in read_rows(simulated_csv)}
     shared = sorted(set(analytic) & set(simulated))
+    for key in shared:
+        a_var, s_var = analytic[key].sweep_var, simulated[key].sweep_var
+        if a_var != s_var:
+            raise ValueError(f"sweep variables differ: analytic {a_var!r}, simulated {s_var!r}")
     compared_metrics = {m for _, m in shared}
     missing = [
         key

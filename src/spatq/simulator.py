@@ -33,6 +33,8 @@ _TRACE_GRID = 2048
 _BLOCK = 1 << 16
 # drift, in packets per slot, above which a queue counts as unstable
 _SLOPE_EPS = 1e-3
+# static-SIR samples drawn per batch
+_SIR_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,6 @@ class MetricsReport:
     def to_kv_text(self) -> str:
         lines = [f"{f.name}={_format_value(getattr(self, f.name))}" for f in fields(self)]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(f.name for f in fields(cls))
-
-    def to_csv_row(self) -> str:
-        return ",".join(_format_value(getattr(self, f.name)) for f in fields(self))
 
 
 def _format_value(value) -> str:
@@ -138,7 +133,6 @@ def run_sir_static(
     samples: int,
     seed: int,
     mean_bss: float = 200.0,
-    batch: int = 4096,
 ) -> tuple[float, float]:
     """Empirical success probability with interferers active independently w.p. q.
 
@@ -166,7 +160,7 @@ def run_sir_static(
     successes = 0
     done = 0
     while done < samples:
-        n = min(batch, samples - done)
+        n = min(_SIR_BATCH, samples - done)
         link_sq = -np.log(rng.random(n)) / (math.pi * lam)
         signal = rng.standard_exponential(n) * link_sq**exponent
         interference = _thinned_interference(rng, n, q * mean_bss, half_width, exponent)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -41,6 +42,32 @@ grid = 0.001,0.005,0.02
 
 [simulation]
 seed = 3
+"""
+
+
+PCP_CFG = """
+# clustered users with the parent intensity left to close the product
+[scenario]
+name = pcp_closed
+model = pcp
+metrics = unstable_prob
+
+[network]
+lambda_b = 0.1
+lambda_u = 1.0
+cell_area = 10
+pcp_r_c = 1.0
+pcp_lambda_c = 1.1
+
+[traffic]
+distribution = exp-mean:0.01
+
+[sweep]
+variable = alpha
+grid = 2.5,4
+
+[simulation]
+seed = 1
 """
 
 
@@ -195,6 +222,48 @@ class TestAnalyticSweep:
         assert 0.97 < total <= 1.0 + 1e-9  # clustered tail beyond k=30 is ~0.7%
 
 
+class TestLoadTimeChecks:
+    def test_omitted_lambda_p_closes_the_product(self, tmp_path):
+        path = tmp_path / "closed.cfg"
+        path.write_text(PCP_CFG)
+        closed = read_rows(run_analytic_sweep(load_config(path), tmp_path / "closed"))
+        lambda_p = 1.0 / (math.pi * 1.0**2 * 1.1)  # lambda_u / (pi r_c^2 lambda_c)
+        explicit = load_config(path, {"network.pcp_lambda_p": repr(lambda_p)})
+        rows = read_rows(run_analytic_sweep(explicit, tmp_path / "explicit"))
+        assert [r.estimate for r in closed] == [r.estimate for r in rows]
+        assert closed[0].estimate != closed[1].estimate
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("pcp_r_c = 1.0\n", "", "pcp_r_c"),
+            ("pcp_lambda_c = 1.1\n", "", "pcp_lambda_c"),
+            ("variable = alpha\ngrid = 2.5,4", "variable = k\ngrid = 0,1.5", "k sweep"),
+        ],
+        ids=["no-r_c", "no-lambda_c", "fractional-k"],
+    )
+    def test_invalid_config_fails_to_load(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(PCP_CFG.replace(old, new))
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        outdir = tmp_path / "out"
+        assert cli.main(["analyze", "--config", str(path), "--outdir", str(outdir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_metric_names_checked_for_every_engine(self):
+        with pytest.raises(ValueError, match="unknown metrics"):
+            ExperimentConfig(
+                name="typo",
+                engine="coupled",
+                metrics=("delya",),
+                sweep_var="lambda_u",
+                grid=(1.0,),
+                seed=1,
+            )
+
+
 class TestSimulationSweep:
     def _coupled_config(self, **kw):
         base = dict(
@@ -311,6 +380,14 @@ class TestCompare:
         assert compare(a, b_match, {"delay": (0.02, False)}).passed
         assert not compare(a, b_diff, {"delay": (0.02, False)}).passed
 
+    def test_sweep_variable_mismatch_rejected(self, tmp_path):
+        a = write_rows(tmp_path / "a.csv", [SweepRow("xi0", 0.5, "delay", 1.0, 0.0, "analytic")])
+        b = write_rows(
+            tmp_path / "b.csv", [SweepRow("theta", 0.5, "delay", 1.0, 0.0, "simulation")]
+        )
+        with pytest.raises(ValueError, match="'xi0'.*'theta'"):
+            compare(a, b, {"delay": (0.02, False)})
+
     def test_report_file_written(self, tmp_path):
         rows = [SweepRow("q", 0.5, "m", 1.0, 0.0, "analytic")]
         a = write_rows(tmp_path / "a.csv", rows)
@@ -397,3 +474,51 @@ class TestCli:
         rows = read_rows(tmp_path / "fig7_rate_a4_analytic.csv")
         values = [r.estimate for r in rows]
         assert max(values) > values[0] and max(values) > values[-1]
+
+    def test_reproduce_writes_to_env_output_dir(self, tmp_path, monkeypatch):
+        outdir = tmp_path / "env-out"
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(outdir))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reproduce", "fig7"]) == 0
+        files = sorted(p.name for p in outdir.iterdir())
+        assert files == ["fig7_rate_a3_analytic.csv", "fig7_rate_a4_analytic.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["env-out"]
+
+
+# sha256 of every CSV that `spatq reproduce` writes, recorded with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1.  Values print at full precision, so
+# another numpy or scipy release may move a last digit; otherwise a changed
+# digest means the canned figure data changed.
+CANNED_SHA256 = {
+    "fig10_pus_pcp1_exp": "4f76d40e1006222ece962be5868af22091bb788fa57ef4babac81b7ca1902509",
+    "fig10_pus_pcp1_unif": "fc83c5364d6857162ac7a9aa4dcb0131db8f3f608060850134c9425e87327f40",
+    "fig10_pus_pcp2_exp": "3b5b8e7ca9aead13b9bca68df1b094596d13b6b383d3a8735a4887b68c254755",
+    "fig10_pus_pcp2_unif": "36bab6b949b39759b5a706095283cdc32b2ca44a113e96b35d6727c8216d3cd2",
+    "fig11_delay_a25": "98dbc9bc8e3fb96438df6c6671c0bae086ef8b7d98b5335e7420188b98aea77c",
+    "fig11_delay_a3": "eb4cd324ca1e88c9c5e94882114a8995bd3f334b86e3791da3998b608176d1a7",
+    "fig11_delay_a4": "daecabd79f824c3f60d5b900b6af3fcd57278ed5f2d6a25560783244e40ef328",
+    "fig3_pmf_pcp": "e250b0720d7d3760cbf002e70277f1c3551be5670a9f79312f32bbb17d114c8d",
+    "fig3_pmf_ppp": "ceefff5614ea63441cecb087c828fa732bbf558bf375f7b2ffd5b5eaabf2416a",
+    "fig6_variance_pcp": "8ed7ba79386386930417724a0058097f19abf7764034d52b5c52f3813adfd9bb",
+    "fig6_variance_ppp": "4228085f1c1cbe5694cf50975e6eeb80855e1660c9cc38c5b4de678e634ff530",
+    "fig7_rate_a3": "fb433cca3706a394a613686fb8cd22af0288c6011f8aaadf6ae313906021f76c",
+    "fig7_rate_a4": "82297754f9609ad12abbdb68ca7cf1e0d27b2059e1d658f03446eb20d1fe238f",
+    "fig8_pus_exp_pcp_a25": "4fbe19e64dd77383d41487ff4fb2d2234c1a1fa1e49647bf5df1b48b5270e72c",
+    "fig8_pus_exp_pcp_a4": "d83d8ad7019c01172b25e70a730f5e466226fec0705def36db4d91ce3968881b",
+    "fig8_pus_exp_ppp_a25": "96583d3fcfd8ff56ab43e699515f57071dfbc7703c0a3c23842af04c5debbd02",
+    "fig8_pus_exp_ppp_a4": "ae9ce983288f463f3fdbd8c108553e0d8d22c8331cea0183a990a2ea0d6436d1",
+    "fig9_pus_unif_pcp_a25": "bb34fbea4ca8d07d6d970b33a1acbefdf90f3565fcb127cc0d306662a9121291",
+    "fig9_pus_unif_pcp_a4": "47fa59d4c7c077862488b21299bc7d86acab45377ab52e93f756f7a80363947a",
+    "fig9_pus_unif_ppp_a25": "76437aec2aed50bba23c000cdc88f58ed528d851db2c4cdc17446ae14444084a",
+    "fig9_pus_unif_ppp_a4": "83d0679e13c8a20f04deb8d7d82bec8dd481e511d5d8e88522cd5bffa01599df",
+}
+
+
+def test_canned_figure_data_unchanged(tmp_path):
+    for figure in harness.FIGURES:
+        assert cli.main(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
+    digests = {
+        path.name.removesuffix("_analytic.csv"): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == CANNED_SHA256
